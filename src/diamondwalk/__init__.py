@@ -45,7 +45,6 @@ from .walk import (
     LightConeOverflow,
     WalkObservables,
     WalkState,
-    assemble_step_operator,
     auto_half_length,
     evolve,
     initial_state,
@@ -91,7 +90,6 @@ __all__ = [
     "LightConeOverflow",
     "WalkObservables",
     "WalkState",
-    "assemble_step_operator",
     "auto_half_length",
     "evolve",
     "initial_state",

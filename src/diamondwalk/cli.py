@@ -66,8 +66,20 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(payload))
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the ``--out`` file when one is given, else to stdout."""
+    if out:
+        _write_text(Path(out), text)
+    else:
+        sys.stdout.write(text)
 
 
 def _csv(header: list[str], rows) -> str:
@@ -75,6 +87,17 @@ def _csv(header: list[str], rows) -> str:
     for row in rows:
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _bands_csv(result: bands_mod.BandResult) -> str:
+    rows = zip(
+        result.k_grid.tolist(),
+        result.e_plus.tolist(),
+        result.e_minus.tolist(),
+        result.abs_ta.tolist(),
+        result.abs_tb.tolist(),
+    )
+    return _csv(["k", "e_plus", "e_minus", "abs_ta", "abs_tb"], rows)
 
 
 def cmd_scatter(args) -> int:
@@ -88,28 +111,13 @@ def cmd_scatter(args) -> int:
         "abs_t": abs(scattering.transmission),
         "abs_t_closed_form": abs(closed),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
 def cmd_bands(args) -> int:
     result = bands_mod.band_structure(args.phi_a, args.phi_b, args.nk)
-    rows = zip(
-        result.k_grid.tolist(),
-        result.e_plus.tolist(),
-        result.e_minus.tolist(),
-        result.abs_ta.tolist(),
-        result.abs_tb.tolist(),
-    )
-    text = _csv(["k", "e_plus", "e_minus", "abs_ta", "abs_tb"], rows)
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(_bands_csv(result), args.out)
     return EXIT_OK
 
 
@@ -117,38 +125,22 @@ def cmd_winding(args) -> int:
     result = bands_mod.winding_number(args.phi_a, args.phi_b, args.nk)
     gap = bands_mod.band_structure(args.phi_a, args.phi_b, args.nk).gap
     payload = {"nu": result.nu, "min_radius": result.min_radius, "gap": gap}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     grid = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
     diagram = bands_mod.phase_diagram(grid, grid, args.nk)
-    rows = []
+    lines = ["phi_a,phi_b,gap,nu,flag"]
     for i, pa in enumerate(diagram.phi_a):
         for j, pb in enumerate(diagram.phi_b):
             nu = diagram.nu[i, j]
-            rows.append(
-                (
-                    float(pa),
-                    float(pb),
-                    float(diagram.gap[i, j]),
-                    "" if math.isnan(nu) else str(int(nu)),
-                    diagram.flag[i, j],
-                )
+            nu_text = "" if math.isnan(nu) else str(int(nu))
+            lines.append(
+                f"{_fmt(pa)},{_fmt(pb)},{_fmt(diagram.gap[i, j])},{nu_text},{diagram.flag[i, j]}"
             )
-    lines = ["phi_a,phi_b,gap,nu,flag"]
-    for pa, pb, gap, nu, flag in rows:
-        lines.append(f"{_fmt(pa)},{_fmt(pb)},{_fmt(gap)},{nu},{flag}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -198,7 +190,7 @@ def cmd_calibrate(args) -> int:
         "quarter_turns": convention.quarter_turns,
         "max_abs_deviation": oracle_deviation(convention, 32, 32),
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
     return EXIT_OK
 
 
@@ -215,17 +207,7 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
         summary: dict = {"pairs": [], "gaps": []}
         for label, (pa, pb) in zip("abcd", FIG4_PAIRS):
             result = bands_mod.band_structure(pa, pb, nk)
-            rows = zip(
-                result.k_grid.tolist(),
-                result.e_plus.tolist(),
-                result.e_minus.tolist(),
-                result.abs_ta.tolist(),
-                result.abs_tb.tolist(),
-            )
-            _write_text(
-                out_dir / f"fig4_band_{label}.csv",
-                _csv(["k", "e_plus", "e_minus", "abs_ta", "abs_tb"], rows),
-            )
+            _write_text(out_dir / f"fig4_band_{label}.csv", _bands_csv(result))
             summary["pairs"].append([pa, pb])
             summary["gaps"].append(result.gap)
         _write_json(out_dir / "fig4_summary.json", summary)

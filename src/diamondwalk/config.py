@@ -24,10 +24,9 @@ import jsonschema
 
 from .diamond import DEFAULT_CONVENTION
 from .lattice import LatticeSpec, PhaseProfile
+from .multiport import DEFAULT_THETA
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "CONFIG_SCHEMA"]
-
-DEFAULT_THETA = -math.pi / 2.0
 
 CONFIG_SCHEMA = {
     "type": "object",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiport import vertex_unitary
+from .multiport import DEFAULT_THETA, vertex_unitary
 
 __all__ = [
     "SingularPoint",
@@ -46,8 +46,6 @@ __all__ = [
 # form; the k-offset used for the directional limit sits well outside it.
 _SINGULAR_DENOM_TOL = 1e-8
 _LIMIT_OFFSET = 1e-6
-
-DEFAULT_THETA = -math.pi / 2.0
 
 
 class SingularPoint(ArithmeticError):

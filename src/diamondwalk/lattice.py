@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diamond import DEFAULT_CONVENTION
-from .multiport import vertex_unitary
+from .multiport import DEFAULT_THETA, vertex_unitary
 
 __all__ = [
     "SUBSITES",
@@ -132,7 +132,7 @@ class LatticeSpec:
 
     half_length: int
     profile: PhaseProfile
-    theta: float = -math.pi / 2.0
+    theta: float = DEFAULT_THETA
     internal_length: int = DEFAULT_CONVENTION.internal_length
     external_length: int = 1
 
@@ -156,10 +156,12 @@ class LatticeSpec:
 
 @dataclass
 class LatticeGraph:
-    """The built chain plus all precomputed index machinery for the walk.
+    """The built chain and the index tables the walk and the audit read.
 
-    Immutable by convention after :func:`build_lattice`; safe to share
-    read-only between concurrent evolutions.
+    Every table is one diamond's fixed wiring tiled along the chain (see
+    :func:`build_lattice`).  Immutable by convention after
+    :func:`build_lattice`; safe to share read-only between concurrent
+    evolutions.
     """
 
     spec: LatticeSpec
@@ -173,10 +175,7 @@ class LatticeGraph:
     edge_length: np.ndarray
     edge_phase: np.ndarray
     edge_kind: np.ndarray
-    edge_cell: np.ndarray  # owner cell index (whole-to-left rule)
-    edge_subsite: np.ndarray  # owner subsite 0/1
     edge_vertex: np.ndarray  # (n_edges, 2) left/right endpoint vertex, -1 = mirror
-    edge_port: np.ndarray  # (n_edges, 2) port at each endpoint
 
     # directed-edge slot machinery
     slot_base: np.ndarray  # (2*n_edges,)
@@ -192,11 +191,9 @@ class LatticeGraph:
     mirror_src: np.ndarray
     mirror_dst: np.ndarray
 
-    # slot -> (cell, weight) attribution for observables: gap amplitudes count
-    # toward the diamond they are moving toward (see build_lattice)
-    cw_slot: np.ndarray
-    cw_cell: np.ndarray  # 0-based cell position (m + M)
-    cw_val: np.ndarray
+    # (dim,) cell position (m + M) each slot's probability counts toward: gap
+    # amplitudes count toward the diamond they are moving toward
+    slot_cell: np.ndarray
 
     cells: np.ndarray  # cell indices -M..M
 
@@ -228,101 +225,61 @@ class LatticeGraph:
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     """Materialise the chain described by ``spec``.
 
-    Rejects profiles that do not cover all cells.  Rebuilding from an equal
-    spec yields identical arrays (deterministic indexing throughout).
+    Every diamond is wired the same way, so each table is one diamond's wiring
+    shifted by the diamond index: index arithmetic on ``np.arange``, with no
+    per-element loop.  Rejects profiles that do not cover all cells.
+    Rebuilding from an equal spec yields identical arrays.
     """
     m_half = spec.half_length
     n_cells = spec.n_cells
     n_diamonds = 2 * n_cells
     n_vertices = 2 * n_diamonds
-    phi_a, phi_b = spec.profile.phases(m_half)
-    diamond_phi = np.empty(n_diamonds)
-    diamond_phi[0::2] = phi_a
-    diamond_phi[1::2] = phi_b
-
     n_internal = 2 * n_diamonds
     n_external = n_diamonds + 1
     n_edges = n_internal + n_external
+    diamond_phi = np.column_stack(spec.profile.phases(m_half)).ravel()  # a_m, b_m per cell
 
-    edge_length = np.empty(n_edges, dtype=int)
+    # Internal edges 2d (top) and 2d+1 (bottom, phase-shifted) join vertices
+    # 2d and 2d+1; external edge j joins vertex 2j-1 to vertex 2j, with
+    # mirrors (-1) beyond the chain ends.
+    edge_length = np.repeat([spec.internal_length, spec.external_length], [n_internal, n_external])
+    edge_kind = np.full(n_edges, KIND_EXTERNAL)
+    edge_kind[:n_internal] = np.tile([KIND_INTERNAL_TOP, KIND_INTERNAL_BOTTOM], n_diamonds)
     edge_phase = np.ones(n_edges, dtype=complex)
-    edge_kind = np.empty(n_edges, dtype=int)
-    edge_cell = np.empty(n_edges, dtype=int)
-    edge_subsite = np.empty(n_edges, dtype=int)
-    edge_vertex = np.full((n_edges, 2), -1, dtype=int)
-    edge_port = np.full((n_edges, 2), -1, dtype=int)
+    edge_phase[1:n_internal:2] = np.exp(1j * diamond_phi)
+    edge_vertex = np.concatenate((
+        np.arange(n_vertices).reshape(n_diamonds, 2).repeat(2, axis=0),
+        np.arange(-1, n_vertices + 1).reshape(n_external, 2),
+    ))
+    edge_vertex[-1, 1] = -1
 
-    for d in range(n_diamonds):
-        cell = d // 2 - m_half
-        subsite = d % 2
-        for which in (0, 1):  # top, bottom
-            e = 2 * d + which
-            edge_length[e] = spec.internal_length
-            edge_kind[e] = KIND_INTERNAL_TOP if which == 0 else KIND_INTERNAL_BOTTOM
-            edge_cell[e] = cell
-            edge_subsite[e] = subsite
-            edge_vertex[e] = (2 * d, 2 * d + 1)
-            edge_port[e] = (1 + which, 1 + which)  # ports B, C
-            if which == 1:
-                edge_phase[e] = np.exp(1j * diamond_phi[d])
-
-    for j in range(n_external):
-        e = n_internal + j
-        owner = min(max(j - 1, 0), n_diamonds - 1)  # whole-to-left; stubs to neighbour
-        edge_length[e] = spec.external_length
-        edge_kind[e] = KIND_EXTERNAL
-        edge_cell[e] = owner // 2 - m_half
-        edge_subsite[e] = owner % 2
-        if j > 0:
-            edge_vertex[e, 0] = 2 * (j - 1) + 1  # right vertex of diamond j-1
-            edge_port[e, 0] = 0
-        if j < n_diamonds:
-            edge_vertex[e, 1] = 2 * j  # left vertex of diamond j
-            edge_port[e, 1] = 0
+    # Vertex 2d + side takes port A from external edge d + side and ports B, C
+    # from internal edges 2d, 2d + 1.  A left vertex (side 0) sends forward
+    # into its diamond and backward out of it; a right vertex the reverse.
+    d = np.arange(n_diamonds)[:, None, None]
+    side = np.arange(2)[:, None]
+    on_external = np.arange(3) == 0
+    edge = np.where(on_external, n_internal + d + side, 2 * d + np.arange(3) - 1)
+    leaving = (2 * edge + (side ^ on_external)).reshape(n_vertices, 3)
+    arriving = leaving ^ 1  # the same edge traversed the other way
 
     # directed edges and slots
     dir_length = np.repeat(edge_length, 2)
-    slot_base = np.concatenate(([0], np.cumsum(dir_length)[:-1]))
+    slot_base = np.cumsum(dir_length) - dir_length
+    slot_last = slot_base + dir_length - 1
     dim = int(dir_length.sum())
-
-    leaving = np.full((n_vertices, 3), -1, dtype=int)
-    arriving = np.full((n_vertices, 3), -1, dtype=int)
-    for e in range(n_edges):
-        fw, bw = 2 * e, 2 * e + 1
-        lv, rv = edge_vertex[e]
-        lp, rp = edge_port[e]
-        if lv >= 0:
-            leaving[lv, lp] = fw
-            arriving[lv, lp] = bw
-        if rv >= 0:
-            leaving[rv, rp] = bw
-            arriving[rv, rp] = fw
-
-    in_slot = slot_base[arriving] + dir_length[arriving] - 1
+    in_slot = slot_last[arriving]
     out_slot = slot_base[leaving]
     out_phase = edge_phase[leaving // 2]
 
-    # intra-edge advancement (slot s -> s+1 within each directed edge)
-    adv_src_parts = []
-    for de in range(2 * n_edges):
-        base = slot_base[de]
-        adv_src_parts.append(np.arange(base, base + dir_length[de] - 1))
-    adv_src = np.concatenate(adv_src_parts) if adv_src_parts else np.empty(0, dtype=int)
+    # intra-edge advancement: every slot but the last of each directed edge
+    adv_src = np.delete(np.arange(dim), slot_last)
     adv_dst = adv_src + 1
 
-    # mirror terminations at the two chain ends
-    mirror_src = []
-    mirror_dst = []
-    for e in range(n_edges):
-        fw, bw = 2 * e, 2 * e + 1
-        if edge_vertex[e, 0] < 0:  # left end is a mirror: backward arrives, forward leaves
-            mirror_src.append(slot_base[bw] + dir_length[bw] - 1)
-            mirror_dst.append(slot_base[fw])
-        if edge_vertex[e, 1] < 0:
-            mirror_src.append(slot_base[fw] + dir_length[fw] - 1)
-            mirror_dst.append(slot_base[bw])
-    mirror_src = np.asarray(mirror_src, dtype=int)
-    mirror_dst = np.asarray(mirror_dst, dtype=int)
+    # mirror terminations: the backward end of the left stub, then the forward
+    # end of the right stub, each reflected into the opposite direction
+    mirror_src = slot_last[[2 * n_internal + 1, 2 * n_edges - 2]]
+    mirror_dst = slot_base[[2 * n_internal, 2 * n_edges - 1]]
 
     # Cell attribution of probability for observables.  Amplitude inside a
     # diamond belongs to that diamond's cell.  Amplitude travelling in a gap
@@ -330,37 +287,15 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     # (left-movers to the left neighbour, right-movers to the right); this is
     # the only single-valued rule that both puts an injected photon wholly in
     # its target subsite's cell and keeps P(m, t) exactly mirror symmetric.
-    cw_slot_parts: list[np.ndarray] = []
-    cw_cell_parts: list[np.ndarray] = []
-    cw_val_parts: list[np.ndarray] = []
+    # So a directed edge counts toward the cell of the vertex it runs into, or
+    # at a mirror stub of the vertex it left; vertex v sits in cell v // 4.
+    head = edge_vertex[:, ::-1].ravel()
+    tail = edge_vertex.ravel()
+    slot_cell = np.repeat(np.where(head >= 0, head, tail) // 4, dir_length)
 
-    def attribute(e: int, direction: int, cell_pos: int) -> None:
-        de = 2 * e + direction
-        sl = np.arange(slot_base[de], slot_base[de] + dir_length[de])
-        cw_slot_parts.append(sl)
-        cw_cell_parts.append(np.full(sl.shape, cell_pos, dtype=int))
-        cw_val_parts.append(np.full(sl.shape, 1.0))
-
-    for d in range(n_diamonds):
-        pos = d // 2
-        for which in (0, 1):
-            attribute(2 * d + which, 0, pos)
-            attribute(2 * d + which, 1, pos)
-    for j in range(n_external):
-        e = n_internal + j
-        toward_right = min(j, n_diamonds - 1) // 2  # forward movers hit diamond j
-        toward_left = max(j - 1, 0) // 2  # backward movers hit diamond j-1
-        attribute(e, 0, toward_right)
-        attribute(e, 1, toward_left)
-
-    cw_slot = np.concatenate(cw_slot_parts)
-    cw_cell = np.concatenate(cw_cell_parts)
-    cw_val = np.concatenate(cw_val_parts)
-
-    for arr in (edge_length, edge_phase, edge_kind, edge_cell, edge_subsite,
-                edge_vertex, edge_port, slot_base, dir_length, leaving, arriving,
-                in_slot, out_slot, out_phase, adv_src, adv_dst, mirror_src,
-                mirror_dst, cw_slot, cw_cell, cw_val, diamond_phi):
+    for arr in (edge_length, edge_phase, edge_kind, edge_vertex, slot_base, dir_length,
+                leaving, arriving, in_slot, out_slot, out_phase, adv_src, adv_dst,
+                mirror_src, mirror_dst, slot_cell, diamond_phi):
         arr.setflags(write=False)
 
     return LatticeGraph(
@@ -373,10 +308,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
         edge_length=edge_length,
         edge_phase=edge_phase,
         edge_kind=edge_kind,
-        edge_cell=edge_cell,
-        edge_subsite=edge_subsite,
         edge_vertex=edge_vertex,
-        edge_port=edge_port,
         slot_base=slot_base,
         dir_length=dir_length,
         dim=dim,
@@ -389,9 +321,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
         adv_dst=adv_dst,
         mirror_src=mirror_src,
         mirror_dst=mirror_dst,
-        cw_slot=cw_slot,
-        cw_cell=cw_cell,
-        cw_val=cw_val,
+        slot_cell=slot_cell,
         cells=np.arange(-m_half, m_half + 1),
     )
 
@@ -406,63 +336,67 @@ class AuditReport:
         return not self.violations
 
 
+def _has_repeats(table: np.ndarray) -> bool:
+    ordered = np.sort(table, axis=None)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
+def _fills_complement(ends: np.ndarray, mirror: np.ndarray) -> bool:
+    """True iff the directed edges listed in ``ends`` are exactly those not in ``mirror``."""
+    ends = ends.ravel()
+    if np.any((ends < 0) | (ends >= mirror.size)):
+        return False
+    wired = np.zeros(mirror.size, dtype=bool)
+    wired[ends] = True
+    return bool(np.array_equal(wired, ~mirror))
+
+
 def audit_graph(graph: LatticeGraph) -> AuditReport:
     """Structural audit: degrees, edge partition, chain linearity, counts.
 
     Returns counts and a list of violations; an intact graph reports none.
     """
     violations: list[str] = []
-    n_edges = len(graph.edge_length)
-    n_directed = 2 * n_edges
+    n_directed = 2 * len(graph.edge_length)
 
     # every vertex has its three ports wired to distinct directed edges
     if graph.leaving.shape != (graph.n_vertices, 3):
         violations.append("leaving table has wrong shape")
-    seen_leaving = np.sort(graph.leaving.ravel())
-    seen_arriving = np.sort(graph.arriving.ravel())
     if np.any(graph.leaving < 0) or np.any(graph.arriving < 0):
         bad = np.argwhere(graph.leaving < 0).tolist() + np.argwhere(graph.arriving < 0).tolist()
         violations.append(f"unwired vertex ports at {bad[:5]}")
-    if len(np.unique(seen_leaving)) != seen_leaving.size:
+    if _has_repeats(graph.leaving):
         violations.append("a directed edge leaves more than one (vertex, port)")
-    if len(np.unique(seen_arriving)) != seen_arriving.size:
+    if _has_repeats(graph.arriving):
         violations.append("a directed edge arrives at more than one (vertex, port)")
 
-    # directed edges not touching a vertex must be exactly the mirror ends
-    vertex_tailed = set(seen_leaving.tolist())
-    vertex_headed = set(seen_arriving.tolist())
-    mirror_headed = set()
-    mirror_tailed = set()
-    for e in range(n_edges):
-        if graph.edge_vertex[e, 0] < 0:
-            mirror_headed.add(2 * e + 1)
-            mirror_tailed.add(2 * e)
-        if graph.edge_vertex[e, 1] < 0:
-            mirror_headed.add(2 * e)
-            mirror_tailed.add(2 * e + 1)
-    all_directed = set(range(n_directed))
-    if vertex_tailed | mirror_tailed != all_directed or vertex_tailed & mirror_tailed:
+    # directed edges not touching a vertex must be exactly the mirror ends;
+    # directed edge 2e + direction has its tail at edge_vertex[e, direction]
+    mirror_tailed = graph.edge_vertex.ravel() < 0
+    mirror_headed = graph.edge_vertex[:, ::-1].ravel() < 0
+    if not _fills_complement(graph.leaving, mirror_tailed):
         violations.append("directed-edge tails do not partition between vertices and mirrors")
-    if vertex_headed | mirror_headed != all_directed or vertex_headed & mirror_headed:
+    if not _fills_complement(graph.arriving, mirror_headed):
         violations.append("directed-edge heads do not partition between vertices and mirrors")
-    if len(mirror_headed) != 2:
-        violations.append(f"expected 2 mirror terminations, found {len(mirror_headed)}")
+    n_mirrors = int(mirror_headed.sum())
+    if n_mirrors != 2:
+        violations.append(f"expected 2 mirror terminations, found {n_mirrors}")
 
-    # edge -> (cell, subsite) assignment partitions all edges
-    if np.any(np.abs(graph.edge_cell) > graph.half_length):
-        violations.append("edge owner cell out of range")
-    if np.any((graph.edge_subsite < 0) | (graph.edge_subsite > 1)):
-        violations.append("edge owner subsite out of range")
+    # every slot's probability is attributed to a cell of the chain
+    if np.any((graph.slot_cell < 0) | (graph.slot_cell >= graph.n_cells)):
+        violations.append("slot owner cell out of range")
 
-    # chain linearity: external edges visit diamonds left to right
+    # chain linearity: external edge j joins vertex 2j - 1 to vertex 2j, left
+    # to right, with mirrors beyond both ends
     external = np.flatnonzero(graph.edge_kind == KIND_EXTERNAL)
-    for rank, e in enumerate(external):
-        lv, rv = graph.edge_vertex[e]
-        expect_left = -1 if rank == 0 else 2 * (rank - 1) + 1
-        expect_right = -1 if rank == len(external) - 1 else 2 * rank
-        if lv != expect_left or rv != expect_right:
-            violations.append(f"external edge {rank} wired to ({lv}, {rv})")
-            break
+    rank = np.arange(external.size)
+    expect = np.stack((2 * rank - 1, 2 * rank), axis=1)
+    expect[-1:, 1] = -1
+    wired = graph.edge_vertex[external]
+    miswired = np.flatnonzero(np.any(wired != expect, axis=1))
+    if miswired.size:
+        lv, rv = wired[miswired[0]]
+        violations.append(f"external edge {miswired[0]} wired to ({lv}, {rv})")
 
     expected_vertices = 4 * graph.n_cells  # four three-ports per cell
     expected_internal = 2 * graph.n_diamonds

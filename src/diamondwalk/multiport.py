@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VertexUnitary", "vertex_unitary", "check_unitary"]
+__all__ = ["DEFAULT_THETA", "VertexUnitary", "vertex_unitary", "check_unitary"]
+
+# the quarter-wave vertex used by the diamond chain simulations
+DEFAULT_THETA = -math.pi / 2.0
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import SUBSITES, LatticeGraph
 
@@ -32,11 +31,9 @@ __all__ = [
     "step",
     "cell_probabilities",
     "evolve",
-    "assemble_step_operator",
 ]
 
 _END_LEAK_TOL = 1e-9
-_MAX_OPERATOR_DIM = 10_000
 
 
 class LightConeOverflow(RuntimeError):
@@ -110,11 +107,10 @@ def step(state: WalkState, graph: LatticeGraph) -> WalkState:
 
 
 def cell_probabilities(graph: LatticeGraph, state: WalkState) -> np.ndarray:
-    """Probability per cell; gap amplitudes count toward the diamond they approach."""
-    weighted = graph.cw_val * np.abs(state.amplitudes[graph.cw_slot]) ** 2
-    p = np.zeros(graph.n_cells)
-    np.add.at(p, graph.cw_cell, weighted)
-    return p
+    """Probability per cell: each slot's ``|amplitude|^2`` summed into its
+    ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach."""
+    return np.bincount(graph.slot_cell, weights=np.abs(state.amplitudes) ** 2,
+                       minlength=graph.n_cells)
 
 
 def evolve(
@@ -168,51 +164,4 @@ def evolve(
         mean=mean,
         sigma=sigma,
         p_boundary=p_boundary,
-    )
-
-
-def assemble_step_operator(graph: LatticeGraph, max_dim: int = _MAX_OPERATOR_DIM) -> sp.csr_matrix:
-    """Explicit one-sub-step operator over the slot basis, for validation.
-
-    Built entry by entry from the edge tables (an independent code path from
-    :func:`step`): intra-edge advancement contributes 1s, each vertex
-    contributes a 3x3 unitary block between the final slots of its incoming
-    edges and the first slots of its outgoing edges (times the entered edge's
-    phase), and each mirror contributes a -1.  The result is unitary in the
-    slot basis.  Refuses graphs beyond ``max_dim`` slots.
-    """
-    if graph.dim > max_dim:
-        raise ValueError(f"graph has {graph.dim} slots, above the {max_dim} limit")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-
-    n_edges = len(graph.edge_length)
-    for e in range(n_edges):
-        for direction in (0, 1):
-            de = graph.directed(e, direction)
-            span = graph.slots(de)
-            for s in range(span.start, span.stop - 1):
-                rows.append(s + 1)
-                cols.append(s)
-                vals.append(1.0)
-
-    u = graph.vertex_matrix
-    for v in range(graph.n_vertices):
-        for p_in in range(3):
-            src = int(graph.in_slot[v, p_in])
-            for p_out in range(3):
-                de_out = int(graph.leaving[v, p_out])
-                dst = int(graph.slot_base[de_out])
-                rows.append(dst)
-                cols.append(src)
-                vals.append(u[p_out, p_in] * graph.edge_phase[de_out // 2])
-
-    for src, dst in zip(graph.mirror_src, graph.mirror_dst):
-        rows.append(int(dst))
-        cols.append(int(src))
-        vals.append(-1.0)
-
-    return sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(graph.dim, graph.dim)
     )

@@ -19,7 +19,6 @@ from diamondwalk import (
     DEFAULT_CONVENTION,
     LatticeSpec,
     PhaseProfile,
-    assemble_step_operator,
     auto_half_length,
     band_structure,
     build_lattice,
@@ -38,6 +37,7 @@ from diamondwalk import (
     winding_number,
 )
 from diamondwalk.cli import run_reproduction
+from step_oracle import assemble_step_operator
 
 # Fig. 5 of the reference, in the reference's labels: (phi_a, phi_b) left of
 # the split after cell 0 and right of it, and injection at cell 0, subsite a,

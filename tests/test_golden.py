@@ -39,6 +39,12 @@ def test_repro_bytes_match_golden(figure, tmp_path):
         assert sha256(tmp_path / name) == digest, name
 
 
+def test_bands_stdout_is_fig4_band_b(capsys):
+    assert main(["bands", "--phi-a", "0", "--phi-b", "0.5", "--nk", "512"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN["fig4"]["fig4_band_b.csv"]
+
+
 def test_sweep_grid_9_bytes_match_golden(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid", "9", "--out", str(out)]) == 0

@@ -66,9 +66,28 @@ def test_rebuild_is_deterministic():
     profile = PhaseProfile.two_region((1.5, 2.5), (0.4, 0.0), 3)
     a = build_lattice(LatticeSpec(half_length=3, profile=profile))
     b = build_lattice(LatticeSpec(half_length=3, profile=profile))
-    for name in ("edge_length", "edge_phase", "edge_cell", "leaving", "arriving",
-                 "in_slot", "out_slot", "out_phase", "slot_base", "cw_cell"):
+    tables = [f.name for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)]
+    assert "slot_cell" in tables and "leaving" in tables
+    for name in tables:
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
+def test_slot_cell_counts_gap_amplitude_toward_the_diamond_ahead(internal, external):
+    spec = LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
+                       internal_length=internal, external_length=external)
+    g = build_lattice(spec)
+    expected = np.empty(g.dim, dtype=int)
+    for d in range(g.n_diamonds):
+        for e in (2 * d, 2 * d + 1):
+            for direction in (0, 1):
+                expected[g.slots(g.directed(e, direction))] = d // 2
+    for j in range(g.n_diamonds + 1):
+        e = g.external_edge(j)
+        expected[g.slots(g.directed(e, 0))] = min(j, g.n_diamonds - 1) // 2
+        expected[g.slots(g.directed(e, 1))] = max(j - 1, 0) // 2
+    assert np.array_equal(g.slot_cell, expected)
 
 
 def test_rejects_profile_not_covering_chain():
@@ -108,6 +127,16 @@ def test_audit_flags_deleted_adjacency():
     report = audit_graph(broken)
     assert not report.ok
     assert any("unwired" in v or "partition" in v for v in report.violations)
+
+
+def test_audit_flags_slot_cell_out_of_range():
+    g = small_graph(half_length=2)
+    for bad_cell in (-1, g.n_cells):
+        broken_cells = g.slot_cell.copy()
+        broken_cells[7] = bad_cell
+        report = audit_graph(dataclasses.replace(g, slot_cell=broken_cells))
+        assert not report.ok
+        assert "slot owner cell out of range" in report.violations
 
 
 def test_diamond_index_bounds():

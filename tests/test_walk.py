@@ -5,7 +5,6 @@ from diamondwalk import (
     LatticeSpec,
     LightConeOverflow,
     PhaseProfile,
-    assemble_step_operator,
     auto_half_length,
     build_lattice,
     evolve,
@@ -13,15 +12,19 @@ from diamondwalk import (
     step,
 )
 from diamondwalk.walk import cell_probabilities
+from step_oracle import assemble_step_operator
 
 FIG5_LEFT = (1.5, 2.5)
 FIG5_RIGHT = (3 * np.pi / 4, 0.0)
+# (internal, external) edge lengths in sub-steps; (2, 1) is the default
+EDGE_LENGTHS = [(1, 1), (2, 1), (3, 2)]
 
 
-def graph_for(half_length, profile=None):
+def graph_for(half_length, profile=None, internal=2, external=1):
     if profile is None:
         profile = PhaseProfile.uniform(0.0, 0.0, half_length)
-    return build_lattice(LatticeSpec(half_length=half_length, profile=profile))
+    return build_lattice(LatticeSpec(half_length=half_length, profile=profile,
+                                     internal_length=internal, external_length=external))
 
 
 def boundary_graph(half_length):
@@ -59,8 +62,9 @@ def test_single_step_preserves_norm():
     assert after.time == 1
 
 
-def test_step_operator_unitary_and_magnitude_sums():
-    g = graph_for(2)
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_step_operator_unitary_and_magnitude_sums(internal, external):
+    g = graph_for(2, internal=internal, external=external)
     op = assemble_step_operator(g).toarray()
     assert np.abs(op.conj().T @ op - np.eye(g.dim)).max() <= 1e-12
     mags = np.abs(op) ** 2
@@ -68,9 +72,10 @@ def test_step_operator_unitary_and_magnitude_sums():
     assert np.abs(mags.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-def test_step_matches_operator_powers_20_steps():
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_step_matches_operator_powers_20_steps(internal, external):
     profile = PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, 2, boundary=0)
-    g = graph_for(2, profile)
+    g = graph_for(2, profile, internal, external)
     op = assemble_step_operator(g)
     state = initial_state(g, 0, "a", "right")
     vec = state.amplitudes.copy()
@@ -80,12 +85,6 @@ def test_step_matches_operator_powers_20_steps():
         vec = op @ vec
         worst = max(worst, np.abs(state.amplitudes - vec).max())
     assert worst <= 1e-12
-
-
-def test_step_operator_refuses_oversized_graph():
-    g = graph_for(500)
-    with pytest.raises(ValueError, match="slots"):
-        assemble_step_operator(g)
 
 
 def test_evolve_record_zero_only():
