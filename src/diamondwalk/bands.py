@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .diamond import transmission_closed_form
 
@@ -50,6 +49,14 @@ __all__ = [
 
 _MIN_RADIUS = 1e-6
 _INTEGER_SLACK = 0.1
+# gap refinement: k tolerance and iteration cap of the bounded Brent search
+_XATOL = 1e-10
+_MAXITER = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+# phase_diagram evaluates at most this many (phi_a, phi_b) pairs at once, so
+# its working memory is bounded by the block and n_k, not by the grid
+_PAIR_BLOCK = 512
 
 
 class GapClosed(ArithmeticError):
@@ -83,7 +90,7 @@ class PhaseDiagram:
     flag: np.ndarray  # '' or 'gap_closed'
 
 
-def hopping_magnitude(phi: float, k) -> np.ndarray | float:
+def hopping_magnitude(phi, k) -> np.ndarray | float:
     """|t(phi, k)|: the hopping strength contributed by a diamond at phase phi."""
     return np.abs(transmission_closed_form(phi, k))
 
@@ -106,13 +113,131 @@ def _k_grid(n_k: int) -> np.ndarray:
     return np.arange(n_k) * 2.0 * math.pi / n_k
 
 
+def _splitting(x: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+    """Band splitting ``2 E_+`` at one k per lane, squaring as a scalar float does."""
+    n = x.size
+    t = hopping_magnitude(np.concatenate([phi_a, phi_b]), np.concatenate([x, x]))
+    # a scalar float's ** 2 is libm pow, as is float_power's loop; the array
+    # x**2 is x*x, which differs in the last bit for about 0.1% of inputs
+    sq = np.float_power(t, 2.0)
+    ta, tb = t[:n], t[n:]
+    return 2.0 * np.sqrt(np.maximum(sq[:n] + sq[n:] + 2.0 * ta * tb * np.cos(x), 0.0))
+
+
+def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray, *args: np.ndarray):
+    """Minimise ``func`` on each interval ``[lo, hi]``; returns ``(x, f(x))`` per lane.
+
+    Brent's bounded search (golden section with parabolic steps, as in
+    ``fminbound``; x tolerance ``_XATOL``, at most ``_MAXITER`` evaluations),
+    run on every lane in lockstep with the floating-point operations of the
+    scalar algorithm, so each lane gets the bits a scalar search would.
+    ``func(x, *args)`` evaluates the lanes still searching; ``args`` are
+    per-lane arrays that follow them.  Converged lanes leave the active set.
+    """
+    n = lo.size
+    x_out = np.empty(n)
+    f_out = np.empty(n)
+    idx = np.arange(n)
+    a, b = lo, hi
+    xf = a + _GOLDEN_MEAN * (b - a)
+    nfc = fulc = xf
+    fx = func(xf, *args)
+    fnfc = ffulc = fx
+    rat = e = np.zeros(n)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        live = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+        if num >= _MAXITER:
+            live[:] = False
+        if not live.all():
+            x_out[idx[~live]] = xf[~live]
+            f_out[idx[~live]] = fx[~live]
+            if not live.any():
+                return x_out, f_out
+            idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2 = (
+                v[live] for v in (idx, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2)
+            )
+            args = tuple(v[live] for v in args)
+
+        # parabolic fit through the three best points, where the last steps allow one
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = (
+            (np.abs(e) > tol1)
+            & (np.abs(p) < np.abs(0.5 * q * e))
+            & (p > q * (a - xf))
+            & (p < q * (b - xf))
+        )
+        rat_p = (p + 0.0) / np.where(parabolic, q, 1.0)
+        x = xf + rat_p
+        si = np.sign(xm - xf) + ((xm - xf) == 0)
+        rat_p = np.where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, rat_p)
+        # otherwise a golden-section step into the larger part
+        e_golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(parabolic, rat, e_golden)
+        rat = np.where(parabolic, rat_p, _GOLDEN_MEAN * e_golden)
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x, *args)
+        num += 1
+
+        better = fu <= fx
+        right = x >= xf
+        a = np.where(better, np.where(right, xf, a), np.where(right, a, x))
+        b = np.where(better, np.where(right, b, xf), np.where(right, x, b))
+        # worse: the new point replaces the second or the third best, if either
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = better | second
+        fulc = np.where(shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(second, x, nfc))
+        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
+
+
+def _refined_gap(phi_a: np.ndarray, phi_b: np.ndarray, e_plus: np.ndarray, k: np.ndarray):
+    """Gap and its location per pair: the coarse minimum of ``2 e_plus`` along
+    the last axis, refined by the bounded Brent search within one grid step."""
+    i_min = np.argmin(e_plus, axis=-1)
+    coarse = 2.0 * e_plus[np.arange(i_min.size), i_min]
+    k_min = k[i_min]
+    dk = 2.0 * math.pi / k.size
+    x, fun = _bounded_brent(_splitting, k_min - dk, k_min + dk, phi_a, phi_b)
+    gap = np.where(fun < coarse, fun, coarse)
+    gap_k = np.where(coarse <= fun, k_min, x) % (2.0 * math.pi)
+    return gap, gap_k
+
+
+def _winding(ta, tb, k):
+    """d(k) components, winding turns and minimum radius along the last axis."""
+    d_x = ta + tb * np.cos(k)
+    d_y = tb * np.sin(k)
+    angles = np.arctan2(d_y, d_x)
+    increments = np.diff(angles, axis=-1, append=angles[..., :1])
+    increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
+    turns = increments.sum(axis=-1) / (2.0 * math.pi)
+    return d_x, d_y, turns, np.hypot(d_x, d_y).min(axis=-1)
+
+
 def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     """Sample E+-(k) over the Brillouin zone and locate the band gap.
 
     The gap is the coarse-grid minimum of the band splitting refined by a
-    bounded 1-D search (k tolerance 1e-10) around it.  Removable points of
-    the transmission formula are limit-evaluated, so every grid point yields
-    a value and no exclusions arise.
+    bounded Brent search (k tolerance 1e-10) within one grid step of it; the
+    search is the lockstep one :func:`phase_diagram` runs over all its pairs,
+    here on a batch of one.  Removable points of the transmission formula are
+    limit-evaluated, so every grid point yields a value and no exclusions
+    arise.
     """
     if n_k < 16:
         raise ValueError("n_k must be >= 16")
@@ -120,33 +245,16 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     abs_ta = hopping_magnitude(phi_a, k)
     abs_tb = hopping_magnitude(phi_b, k)
     e_plus = dispersion(abs_ta, abs_tb, k)
-
-    i_min = int(np.argmin(e_plus))
-    dk = 2.0 * math.pi / n_k
-
-    def splitting(kk: float) -> float:
-        ta = hopping_magnitude(phi_a, kk)
-        tb = hopping_magnitude(phi_b, kk)
-        return 2.0 * float(dispersion(ta, tb, kk))
-
-    refined = minimize_scalar(
-        splitting,
-        bounds=(k[i_min] - dk, k[i_min] + dk),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    gap = min(2.0 * float(e_plus[i_min]), float(refined.fun))
-    gap_k = float(k[i_min]) if 2.0 * e_plus[i_min] <= refined.fun else float(refined.x)
-    gap_k %= 2.0 * math.pi
-
+    gap, gap_k = _refined_gap(np.array([phi_a], dtype=float), np.array([phi_b], dtype=float),
+                              e_plus[None], k)
     return BandResult(
         k_grid=k,
         e_plus=e_plus,
         e_minus=-e_plus,
         abs_ta=abs_ta,
         abs_tb=abs_tb,
-        gap=gap,
-        gap_k=gap_k,
+        gap=float(gap[0]),
+        gap_k=float(gap_k[0]),
     )
 
 
@@ -165,26 +273,20 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     ta = np.broadcast_to(abs_ta(k) if callable(abs_ta) else abs_ta, k.shape).astype(float)
     tb = np.broadcast_to(abs_tb(k) if callable(abs_tb) else abs_tb, k.shape).astype(float)
 
-    d_x = ta + tb * np.cos(k)
-    d_y = tb * np.sin(k)
-    d_curve = np.column_stack([d_x, d_y])
-    min_radius = float(np.hypot(d_x, d_y).min())
+    d_x, d_y, turns, min_radius = _winding(ta, tb, k)
+    min_radius = float(min_radius)
     if min_radius < _MIN_RADIUS:
         raise GapClosed(
             f"d(k) curve passes within {min_radius:.2e} of the origin; winding undefined"
         )
-
-    angles = np.angle(d_x + 1j * d_y)
-    increments = np.diff(np.concatenate([angles, angles[:1]]))
-    increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
-    turns = float(increments.sum() / (2.0 * math.pi))
+    turns = float(turns)
     nu = round(turns)
     if abs(turns - nu) > _INTEGER_SLACK:
         raise GapClosed(
             f"angle sum {turns:.4f} turns is not close to an integer; "
             "refine n_k or treat the gap as closed"
         )
-    return WindingResult(d_curve=d_curve, nu=int(nu), min_radius=min_radius)
+    return WindingResult(d_curve=np.column_stack([d_x, d_y]), nu=int(nu), min_radius=min_radius)
 
 
 def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult:
@@ -194,20 +296,44 @@ def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult
 
 
 def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
-    """Gap and winding over a (phi_a, phi_b) grid; closed-gap points are flagged."""
+    """Gap and winding over a (phi_a, phi_b) grid; closed-gap points are flagged.
+
+    Each point gets the gap of :func:`band_structure` and the winding of
+    :func:`winding_number` at the same ``n_k``, bit for bit.  ``|t(phi, k)|``
+    is tabulated once per distinct phase; the splitting, gap refinement and
+    winding then run over blocks of pairs at once.
+    """
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
     if phi_a_grid.size == 0 or phi_b_grid.size == 0:
         raise ValueError("phase grids must be nonempty")
+    if n_k < 64:
+        raise ValueError("n_k must be >= 64")
+    k = _k_grid(n_k)
+    phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
+    table = np.stack([hopping_magnitude(phi, k) for phi in phases])
+    row_a, row_b = which[: phi_a_grid.size], which[phi_a_grid.size :]
+
     shape = (phi_a_grid.size, phi_b_grid.size)
-    gap = np.empty(shape)
-    nu = np.full(shape, np.nan)
-    flag = np.full(shape, "", dtype=object)
-    for i, pa in enumerate(phi_a_grid):
-        for j, pb in enumerate(phi_b_grid):
-            gap[i, j] = band_structure(pa, pb, n_k).gap
-            try:
-                nu[i, j] = winding_number(pa, pb, n_k).nu
-            except GapClosed:
-                flag[i, j] = "gap_closed"
-    return PhaseDiagram(phi_a=phi_a_grid, phi_b=phi_b_grid, gap=gap, nu=nu, flag=flag)
+    n_pairs = phi_a_grid.size * phi_b_grid.size
+    gap = np.empty(n_pairs)
+    turns = np.empty(n_pairs)
+    min_radius = np.empty(n_pairs)
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        pairs = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))
+        i, j = np.divmod(pairs, phi_b_grid.size)
+        ta, tb = table[row_a[i]], table[row_b[j]]
+        gap[pairs], _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], dispersion(ta, tb, k), k)
+        _, _, turns[pairs], min_radius[pairs] = _winding(ta, tb, k)
+
+    nu = np.round(turns) + 0.0  # + 0.0: -0.0 -> 0.0, as round() gives
+    closed = (min_radius < _MIN_RADIUS) | (np.abs(turns - nu) > _INTEGER_SLACK)
+    nu[closed] = np.nan
+    flag = np.where(closed, "gap_closed", "").astype(object)
+    return PhaseDiagram(
+        phi_a=phi_a_grid,
+        phi_b=phi_b_grid,
+        gap=gap.reshape(shape),
+        nu=nu.reshape(shape),
+        flag=flag.reshape(shape),
+    )

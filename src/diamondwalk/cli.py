@@ -132,14 +132,18 @@ def cmd_winding(args) -> int:
 def cmd_sweep(args) -> int:
     grid = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
     diagram = bands_mod.phase_diagram(grid, grid, args.nk)
-    lines = ["phi_a,phi_b,gap,nu,flag"]
-    for i, pa in enumerate(diagram.phi_a):
-        for j, pb in enumerate(diagram.phi_b):
-            nu = diagram.nu[i, j]
-            nu_text = "" if math.isnan(nu) else str(int(nu))
-            lines.append(
-                f"{_fmt(pa)},{_fmt(pb)},{_fmt(diagram.gap[i, j])},{nu_text},{diagram.flag[i, j]}"
-            )
+    n_a, n_b = diagram.gap.shape
+    nu = diagram.nu.ravel()
+    nu_text = np.where(np.isnan(nu), "", np.nan_to_num(nu).astype(np.int64).astype(str))
+    fmt = "%.17g".__mod__  # the same text as _fmt
+    columns = (
+        map(fmt, np.repeat(diagram.phi_a, n_b).tolist()),
+        map(fmt, np.tile(diagram.phi_b, n_a).tolist()),
+        map(fmt, diagram.gap.ravel().tolist()),
+        nu_text.tolist(),
+        diagram.flag.ravel().tolist(),
+    )
+    lines = ["phi_a,phi_b,gap,nu,flag", *map(",".join, zip(*columns))]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

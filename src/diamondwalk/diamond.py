@@ -113,51 +113,58 @@ class DiamondScattering:
         return complex(self.s_matrix[1, 0])
 
 
-def _closed_form_raw(phi: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form_raw(phi, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the closed-form transmission amplitude."""
     q = np.exp(-1j * phi)
     w = np.exp(-4j * k)
-    num = 4.0 * (1.0 + q) * (1.0 - q * w)
-    den = w * (1.0 + q) ** 2 - (3.0 * q * w - 1.0) ** 2
+    s = 1.0 + q
+    # (1 + q)^2 written out as the plain product, which is what ** 2 computes
+    # on a complex scalar; numpy's array square and multiply loops use FMAs and
+    # round differently, so an array phi would not match a scalar one
+    s_sq = np.empty(np.shape(s), dtype=complex)
+    s_sq.real = s.real * s.real - s.imag * s.imag
+    s_sq.imag = s.real * s.imag + s.imag * s.real
+    num = 4.0 * s * (1.0 - q * w)
+    den = w * s_sq - (3.0 * q * w - 1.0) ** 2
     return num, den
 
 
-def transmission_closed_form(phi: float, k, *, limit_at_singularities: bool = True):
+def transmission_closed_form(phi, k, *, limit_at_singularities: bool = True):
     """Closed-form transmission amplitude ``t(phi, k)`` of one diamond.
 
-    ``k`` may be a scalar or an array.  The formula has removable 0/0 points
-    (only at ``phi = 0 mod 2pi``, ``k = 0 mod pi/2``, where ``|t| -> 1``);
-    by default those are evaluated as the symmetric numerical limit along k,
-    accurate to about 1e-10.  With ``limit_at_singularities=False`` a
-    :class:`SingularPoint` is raised instead, so grid sweeps can exclude the
-    points explicitly.
+    ``phi`` and ``k`` may be scalars or arrays that broadcast against each
+    other; every element equals the call with that element's scalar ``phi``
+    and ``k``.  Two scalars give a ``complex``.  The formula has removable 0/0
+    points (only at ``phi = 0 mod 2pi``, ``k = 0 mod pi/2``, where
+    ``|t| -> 1``); by default those are evaluated as the symmetric numerical
+    limit along k, accurate to about 1e-10.  With
+    ``limit_at_singularities=False`` a :class:`SingularPoint` is raised
+    instead, so grid sweeps can exclude the points explicitly.
     """
-    if not math.isfinite(phi):
+    phi_arr = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi_arr)):
         raise ValueError(f"phi must be finite, got {phi!r}")
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
     if not np.all(np.isfinite(k_arr)):
         raise ValueError("k must be finite")
 
-    num, den = _closed_form_raw(phi, k_arr)
+    num, den = _closed_form_raw(phi_arr, k_arr)
     singular = np.abs(den) < _SINGULAR_DENOM_TOL
-    out = np.empty_like(num)
-    ok = ~singular
-    out[ok] = num[ok] / den[ok]
+    out = num / np.where(singular, 1.0, den)
 
     if np.any(singular):
+        phi_s = np.broadcast_to(phi_arr, out.shape)[singular]
+        k_s = np.broadcast_to(k_arr, out.shape)[singular]
         if not limit_at_singularities:
-            k_bad = float(k_arr[np.argmax(singular)])
             raise SingularPoint(
-                f"closed form is 0/0 at (phi={phi!r}, k={k_bad!r}); "
+                f"closed form is 0/0 at (phi={float(phi_s[0])!r}, k={float(k_s[0])!r}); "
                 "enable limit_at_singularities or move off the point"
             )
-        for idx in np.flatnonzero(singular):
-            k0 = k_arr[idx]
-            lo_n, lo_d = _closed_form_raw(phi, np.array([k0 - _LIMIT_OFFSET]))
-            hi_n, hi_d = _closed_form_raw(phi, np.array([k0 + _LIMIT_OFFSET]))
-            out[idx] = 0.5 * (lo_n[0] / lo_d[0] + hi_n[0] / hi_d[0])
+        lo_n, lo_d = _closed_form_raw(phi_s, k_s - _LIMIT_OFFSET)
+        hi_n, hi_d = _closed_form_raw(phi_s, k_s + _LIMIT_OFFSET)
+        out[singular] = 0.5 * (lo_n / lo_d + hi_n / hi_d)
 
-    if np.ndim(k) == 0:
+    if np.ndim(k) == 0 and phi_arr.ndim == 0:
         return complex(out[0])
     return out
 

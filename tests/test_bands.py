@@ -11,6 +11,8 @@ from diamondwalk import (
     winding_from_hoppings,
     winding_number,
 )
+from diamondwalk.cli import FIG4_PAIRS, FIG5_LEFT, FIG5_RIGHT
+import bands_oracle
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -136,3 +138,75 @@ def test_phase_diagram_flags_diagonal_and_partitions():
 def test_phase_diagram_rejects_empty_grid():
     with pytest.raises(ValueError):
         phase_diagram([], [1.0])
+
+
+# The batched path against the per-point oracle, bit for bit.
+
+GRID_9 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
+GRID_16 = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+GRID_5 = np.linspace(0.3, 2 * np.pi - 0.3, 5)
+RANDOM_PHASES = np.random.default_rng(2024).uniform(0.0, 2 * np.pi, size=(2, 10))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_bits_equal(got, want, label):
+    assert np.array_equal(bits(got), bits(want)), label
+
+
+@pytest.mark.parametrize(
+    "phi_a,phi_b,n_k",
+    [
+        (GRID_9, GRID_9, 128),
+        (GRID_9, GRID_9, 512),
+        (GRID_16, GRID_16, 128),
+        (GRID_16, GRID_16, 512),
+        (GRID_5, GRID_5, 128),
+        ([0.0], GRID_16, 128),  # the phi = 0 row holds the removable points
+        ([0.0], GRID_16, 512),
+        (RANDOM_PHASES[0], RANDOM_PHASES[1], 512),
+    ],
+    ids=["9-128", "9-512", "16-128", "16-512", "5-128", "row0-128", "row0-512", "random-512"],
+)
+def test_phase_diagram_matches_per_point_oracle(phi_a, phi_b, n_k):
+    got = phase_diagram(phi_a, phi_b, n_k)
+    want = bands_oracle.phase_diagram(phi_a, phi_b, n_k)
+    assert_bits_equal(got.gap, want.gap, "gap")
+    assert_bits_equal(got.nu, want.nu, "nu")
+    assert np.array_equal(got.flag, want.flag)
+    assert got.flag.dtype == want.flag.dtype
+
+
+def assert_pair_matches_oracle(phi_a, phi_b, n_k):
+    got = band_structure(phi_a, phi_b, n_k)
+    want = bands_oracle.band_structure(phi_a, phi_b, n_k)
+    for name in ("gap", "gap_k", "e_plus"):
+        assert_bits_equal(getattr(got, name), want[name], f"{name} at {(phi_a, phi_b, n_k)}")
+    try:
+        want_w = bands_oracle.winding_number(phi_a, phi_b, n_k)
+    except GapClosed:
+        with pytest.raises(GapClosed):
+            winding_number(phi_a, phi_b, n_k)
+        return
+    got_w = winding_number(phi_a, phi_b, n_k)
+    assert got_w.nu == want_w["nu"]
+    assert_bits_equal(got_w.min_radius, want_w["min_radius"], "min_radius")
+
+
+@pytest.mark.parametrize("n_k", [128, 256, 512, 1024])
+def test_figure_pairs_match_per_point_oracle(n_k):
+    for phi_a, phi_b in (*FIG4_PAIRS, FIG5_LEFT, FIG5_RIGHT):
+        assert_pair_matches_oracle(phi_a, phi_b, n_k)
+
+
+def test_random_pairs_match_per_point_oracle():
+    rng = np.random.default_rng(7)
+    for phi_a, phi_b in rng.uniform(0.0, 2 * np.pi, size=(100, 2)):
+        assert_pair_matches_oracle(float(phi_a), float(phi_b), 256)
+
+
+def test_phase_diagram_rejects_coarse_k_grid():
+    with pytest.raises(ValueError, match="n_k"):
+        phase_diagram([1.0], [2.0], n_k=32)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diamondwalk
 from diamondwalk import ConfigError, parse_config
 from diamondwalk.cli import main
 
@@ -95,6 +100,13 @@ class TestCli:
         assert lines[0] == "phi_a,phi_b,gap,nu,flag"
         assert len(lines) == 1 + 16
 
+    @pytest.mark.parametrize("argv", [["--nk", "32"], ["--grid", "0"]], ids=["nk-32", "grid-0"])
+    def test_sweep_bad_size_is_config_error_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_walk_outputs_and_determinism(self, tmp_path):
         config = write_config(tmp_path, FIG5_CONFIG)
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
@@ -160,3 +172,18 @@ class TestCli:
         assert main(["repro", "fig5", "--out", str(d2), "--steps", "30"]) == 0
         for name in ("fig5_boundary.csv", "fig5_uniform.csv", "fig5_summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only; importing it cost about 0.45 s per process
+    code = (
+        "import sys, diamondwalk.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(diamondwalk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

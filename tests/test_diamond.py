@@ -14,6 +14,7 @@ from diamondwalk import (
     solve_diamond,
     transmission_closed_form,
 )
+import bands_oracle
 
 # magnitude at (phi=0, k=pi/3), frozen from the scattering-solver oracle
 ABS_T_AT_0_PI3 = 0.8386278693775346
@@ -54,6 +55,52 @@ def test_closed_form_vectorised_matches_scalar():
     vec = transmission_closed_form(1.2, ks)
     for i, k in enumerate(ks):
         assert vec[i] == transmission_closed_form(1.2, float(k))
+
+
+def bits(z):
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+def test_closed_form_array_phi_is_bitwise_a_loop_of_scalar_calls():
+    # phi = 0 with k a multiple of pi/2 are the removable 0/0 points
+    phis = np.concatenate([[0.0, np.pi, 2 * np.pi], np.random.default_rng(11).uniform(0, 7, 20)])
+    ks = np.concatenate([[0.0, np.pi / 2, np.pi, 3 * np.pi / 2], np.linspace(0.01, 6.2, 40)])
+    loop = np.array([[transmission_closed_form(float(p), float(k)) for k in ks] for p in phis])
+    # the scalar calls themselves are the per-point closed form's
+    oracle = np.array([[bands_oracle.transmission_closed_form(p, k) for k in ks] for p in phis])
+    assert np.array_equal(bits(loop), bits(oracle))
+    table = transmission_closed_form(phis[:, None], ks)
+    assert table.shape == loop.shape
+    assert np.array_equal(bits(table), bits(loop))
+    # one (phi, k) per element
+    p, k = np.meshgrid(phis, ks, indexing="ij")
+    lanes = transmission_closed_form(p.ravel(), k.ravel())
+    assert np.array_equal(bits(lanes), bits(loop.ravel()))
+    # array phi against a scalar k
+    column = transmission_closed_form(phis, np.pi / 2)
+    assert np.array_equal(bits(column), bits(loop[:, 1]))
+
+
+def test_closed_form_array_phi_raises_at_singular_point_when_limits_disabled():
+    phis = np.array([0.4, 0.0, 1.0])
+    ks = np.array([1.3, np.pi / 2, 2.0])
+    with pytest.raises(SingularPoint, match="phi=0.0"):
+        transmission_closed_form(phis, ks, limit_at_singularities=False)
+    off = transmission_closed_form(phis, ks + 0.1, limit_at_singularities=False)
+    assert np.all(np.isfinite(off))
+
+
+def test_closed_form_rejects_nan_anywhere_in_phi():
+    with pytest.raises(ValueError, match="phi must be finite"):
+        transmission_closed_form(np.array([0.3, np.nan, 1.0]), 0.5)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        transmission_closed_form(np.array([[0.3], [np.inf]]), np.array([0.1, 0.2]))
+
+
+def test_closed_form_scalar_inputs_return_complex():
+    scalars = ((1.2, 0.7), (np.float64(1.2), np.float64(0.7)), (0.0, 0.0), (np.array(1.2), 0.7))
+    for phi, k in scalars:
+        assert type(transmission_closed_form(phi, k)) is complex
 
 
 def test_solver_matches_closed_form_at_benchmark_point():
