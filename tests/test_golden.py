@@ -5,6 +5,7 @@ across code changes, so a refactor that moves any output by one ulp fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -25,6 +26,30 @@ GOLDEN = {
     },
 }
 SWEEP_GRID_9 = "2af9798b31af75c3642ab687d611e3a3be46887039040b693716996bcdb91d02"
+
+# the walk config example in README.md
+README_WALK_CONFIG = {
+    "half_length": 102,
+    "theta": -1.5707963267948966,
+    "steps": 200,
+    "regions": [
+        {"from": -102, "to": 0, "phi_a": 1.5, "phi_b": 2.5},
+        {"from": 1, "to": 102, "phi_a": 2.356194490192345, "phi_b": 0.0},
+    ],
+    "edge_lengths": {"internal": 2, "external": 1},
+}
+WALK_CSV = "46d64bb169caed1f605f010ebdb891c8e1cd154a485ae340d9e77c86ee2a8098"
+WALK_SUMMARY = "fe089366e871f9fccb2c52a26ba29973b5d5792f4d146dc5d9bee673a7e27433"
+STDOUT = {
+    "winding": (
+        ["winding", "--phi-a", "1.5", "--phi-b", "2.5"],
+        "23b68d882326e627a03fea242f4904e07ee9206654a6b20481fd052881ed5248",
+    ),
+    "scatter": (
+        ["scatter", "--phi", "1.5", "--k", "1.0"],
+        "d29084b2576f5bee0a06f8dc8da3fa8b603f20baab8126b6349e1f005e595dbc",
+    ),
+}
 
 
 def sha256(path):
@@ -49,3 +74,21 @@ def test_sweep_grid_9_bytes_match_golden(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid", "9", "--out", str(out)]) == 0
     assert sha256(out) == SWEEP_GRID_9
+
+
+def test_readme_walk_bytes_match_golden(tmp_path):
+    config = tmp_path / "walk.json"
+    config.write_text(json.dumps(README_WALK_CONFIG), encoding="utf-8")
+    out, summary = tmp_path / "walk.csv", tmp_path / "walk_summary.json"
+    assert main(["walk", "--config", str(config), "--out", str(out),
+                 "--summary", str(summary)]) == 0
+    assert sha256(out) == WALK_CSV
+    assert sha256(summary) == WALK_SUMMARY
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT))
+def test_stdout_bytes_match_golden(command, capsys):
+    argv, digest = STDOUT[command]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
