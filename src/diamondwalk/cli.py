@@ -57,47 +57,29 @@ FIG5_RIGHT = (3.0 * math.pi / 4.0, 0.0)
 FIG4_PAIRS = ((0.0, 0.0), (0.0, 0.5), (0.0, 2.0), (0.0, math.pi))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_json(path: Path, payload) -> None:
-    _write_text(path, _json_text(payload))
-
-
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to the ``--out`` file when one is given, else to stdout."""
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to the file ``out`` (creating its directory) when given, else to stdout."""
     if out:
-        _write_text(Path(out), text)
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns: np.ndarray) -> str:
+    """CSV text from equal-length arrays: floats at 17 significant digits, the rest by ``str``."""
+    cells = [map("%.17g".__mod__ if c.dtype.kind == "f" else str, c.tolist()) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _bands_csv(result: bands_mod.BandResult) -> str:
-    rows = zip(
-        result.k_grid.tolist(),
-        result.e_plus.tolist(),
-        result.e_minus.tolist(),
-        result.abs_ta.tolist(),
-        result.abs_tb.tolist(),
-    )
-    return _csv(["k", "e_plus", "e_minus", "abs_ta", "abs_tb"], rows)
+    return _csv("k,e_plus,e_minus,abs_ta,abs_tb", result.k_grid, result.e_plus,
+                result.e_minus, result.abs_ta, result.abs_tb)
 
 
 def cmd_scatter(args) -> int:
@@ -135,26 +117,16 @@ def cmd_sweep(args) -> int:
     n_a, n_b = diagram.gap.shape
     nu = diagram.nu.ravel()
     nu_text = np.where(np.isnan(nu), "", np.nan_to_num(nu).astype(np.int64).astype(str))
-    fmt = "%.17g".__mod__  # the same text as _fmt
-    columns = (
-        map(fmt, np.repeat(diagram.phi_a, n_b).tolist()),
-        map(fmt, np.tile(diagram.phi_b, n_a).tolist()),
-        map(fmt, diagram.gap.ravel().tolist()),
-        nu_text.tolist(),
-        diagram.flag.ravel().tolist(),
-    )
-    lines = ["phi_a,phi_b,gap,nu,flag", *map(",".join, zip(*columns))]
-    _emit("\n".join(lines) + "\n", args.out)
+    text = _csv("phi_a,phi_b,gap,nu,flag", np.repeat(diagram.phi_a, n_b),
+                np.tile(diagram.phi_b, n_a), diagram.gap.ravel(), nu_text, diagram.flag.ravel())
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def _walk_csv(obs: walk_mod.WalkObservables) -> str:
-    lines = ["t,m,p"]
-    for r in obs.records.tolist():
-        row = obs.p_cell[r]
-        for i, m in enumerate(obs.cells.tolist()):
-            lines.append(f"{r},{m},{_fmt(row[i])}")
-    return "\n".join(lines) + "\n"
+    n_records, n_cells = obs.p_cell.shape
+    return _csv("t,m,p", np.repeat(obs.records, n_cells), np.tile(obs.cells, n_records),
+                obs.p_cell.ravel())
 
 
 def _walk_summary(obs: walk_mod.WalkObservables) -> dict:
@@ -181,9 +153,9 @@ def cmd_walk(args) -> int:
     if steps is None:
         raise ConfigError("step count missing: pass --steps or add \"steps\" to the config")
     obs = _run_walk(config, steps, args.cell, args.subsite, args.direction)
-    _write_text(Path(args.out), _walk_csv(obs))
+    _emit(_walk_csv(obs), args.out)
     if args.summary:
-        _write_json(Path(args.summary), _walk_summary(obs))
+        _emit(_json_text(_walk_summary(obs)), args.summary)
     return EXIT_OK
 
 
@@ -194,7 +166,7 @@ def cmd_calibrate(args) -> int:
         "quarter_turns": convention.quarter_turns,
         "max_abs_deviation": oracle_deviation(convention, 32, 32),
     }
-    sys.stdout.write(_json_text(payload))
+    _emit(_json_text(payload), None)
     return EXIT_OK
 
 
@@ -211,10 +183,10 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
         summary: dict = {"pairs": [], "gaps": []}
         for label, (pa, pb) in zip("abcd", FIG4_PAIRS):
             result = bands_mod.band_structure(pa, pb, nk)
-            _write_text(out_dir / f"fig4_band_{label}.csv", _bands_csv(result))
+            _emit(_bands_csv(result), out_dir / f"fig4_band_{label}.csv")
             summary["pairs"].append([pa, pb])
             summary["gaps"].append(result.gap)
-        _write_json(out_dir / "fig4_summary.json", summary)
+        _emit(_json_text(summary), out_dir / "fig4_summary.json")
         return summary
 
     if figure == "fig5":
@@ -236,7 +208,7 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
             graph = build_lattice(spec)
             state = walk_mod.initial_state(graph, 0, "a", "right")
             obs = walk_mod.evolve(state, graph, steps)
-            _write_text(out_dir / f"fig5_{name}.csv", _walk_csv(obs))
+            _emit(_walk_csv(obs), out_dir / f"fig5_{name}.csv")
             results[name] = obs
 
         pb_b = results["boundary"].p_boundary
@@ -254,7 +226,7 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
                 "uniform_late": float(pb_u[last_quarter].mean()),
             },
         }
-        _write_json(out_dir / "fig5_summary.json", summary)
+        _emit(_json_text(summary), out_dir / "fig5_summary.json")
         return summary
 
     raise ConfigError(f"unknown reproduction target {figure!r}")
@@ -326,8 +298,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
-        # ValueError here means a module precondition rejected a CLI parameter
+    except (ConfigError, OSError, ValueError) as exc:
+        # ValueError here means a module precondition rejected a CLI parameter;
+        # OSError an unreadable config or an unwritable output path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:

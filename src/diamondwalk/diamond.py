@@ -101,10 +101,6 @@ class DiamondScattering:
     convention: EdgeConvention
 
     @property
-    def edge_length_convention(self) -> int:
-        return self.convention.internal_length
-
-    @property
     def reflection(self) -> complex:
         return complex(self.s_matrix[0, 0])
 

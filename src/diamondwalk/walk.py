@@ -113,26 +113,18 @@ def cell_probabilities(graph: LatticeGraph, state: WalkState) -> np.ndarray:
                        minlength=graph.n_cells)
 
 
-def evolve(
-    state: WalkState,
-    graph: LatticeGraph,
-    n_record: int,
-    substeps_per_record: int | None = None,
-) -> WalkObservables:
+def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservables:
     """Run the walk for ``n_record`` records and collect observables.
 
-    Records the initial state and then one row per ``substeps_per_record``
-    sub-steps (default: the diamond-to-diamond travel time).  Raises
+    Records the initial state and then one row per diamond-to-diamond travel
+    time (``graph.spec.substeps_per_hop`` sub-steps).  Raises
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
     unobservable.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
-    if substeps_per_record is None:
-        substeps_per_record = graph.spec.substeps_per_hop
-    if substeps_per_record < 1:
-        raise ValueError("substeps_per_record must be >= 1")
+    substeps_per_record = graph.spec.substeps_per_hop
 
     m = graph.cells.astype(float)
     n_rows = n_record + 1

@@ -145,6 +145,17 @@ class TestCli:
         assert main(["walk", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "w.csv")]) == 2
 
+    def test_walk_config_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["walk", "--config", str(tmp_path), "--out", str(tmp_path / "w.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["bands", "--phi-a", "0", "--phi-b", "1", "--nk", "64",
+                     "--out", str(blocker / "x.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_walk_light_cone_overflow_exit_code(self, tmp_path):
         payload = dict(FIG5_CONFIG, half_length=3, steps=40)
         payload["regions"] = [{"from": -3, "to": 3, "phi_a": 0.0, "phi_b": 0.0}]
