@@ -95,12 +95,9 @@ def hopping_magnitude(phi, k) -> np.ndarray | float:
     return np.abs(transmission_closed_form(phi, k))
 
 
-def hamiltonian_k(phi_a: float, phi_b: float, k: float,
-                  *, limit_at_singularities: bool = True) -> np.ndarray:
+def hamiltonian_k(phi_a: float, phi_b: float, k: float) -> np.ndarray:
     """2x2 momentum-space Hamiltonian at quasi-momentum k (1/N prefactor dropped)."""
-    ta = np.abs(transmission_closed_form(phi_a, k, limit_at_singularities=limit_at_singularities))
-    tb = np.abs(transmission_closed_form(phi_b, k, limit_at_singularities=limit_at_singularities))
-    off = ta + tb * np.exp(-1j * k)
+    off = hopping_magnitude(phi_a, k) + hopping_magnitude(phi_b, k) * np.exp(-1j * k)
     return np.array([[0.0, off], [np.conj(off), 0.0]], dtype=complex)
 
 

@@ -1,26 +1,15 @@
 """Strict JSON configuration for lattice/walk runs.
 
-Schema (unknown keys rejected)::
-
-    {
-      "half_length": int >= 1,          required
-      "theta": number,                  default -pi/2
-      "steps": int >= 1,                optional (walk record count)
-      "regions": [                      required, disjoint, covering [-M, M]
-        {"from": int, "to": int, "phi_a": number, "phi_b": number}, ...
-      ],
-      "edge_lengths": {"internal": int >= 1, "external": int >= 1}
-                                        default from the calibrated convention
-    }
+:data:`CONFIG_SCHEMA` describes the format (unknown keys rejected); the
+regions must also be disjoint and cover cells [-half_length, half_length].
+``theta`` defaults to -pi/2 and ``edge_lengths`` to the calibrated convention.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
-
-import jsonschema
 
 from .diamond import DEFAULT_CONVENTION
 from .lattice import LatticeSpec, PhaseProfile
@@ -88,14 +77,49 @@ class RunConfig:
         )
 
 
-def _path_of(error: jsonschema.ValidationError) -> str:
-    parts = []
-    for item in error.absolute_path:
-        if isinstance(item, int):
-            parts.append(f"[{item}]")
-        else:
-            parts.append(("." if parts else "") + str(item))
-    return "".join(parts) or "<document root>"
+def _first_violation(value, schema: dict, path: str = "") -> tuple[str, str] | None:
+    """The first way ``value`` breaks ``schema``, as ``(path, message)``, or None.
+
+    Covers the keywords :data:`CONFIG_SCHEMA` uses, with JSON Schema's type
+    rules (a bool is not a number; an integral float is an integer), and also
+    rejects numbers that are not finite doubles.  Violations are ordered by
+    path: a node's own before its children's, object keys sorted, array items
+    by index, as jsonschema's errors sorted by ``absolute_path``.
+    """
+    kind = schema["type"]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not {
+        "object": isinstance(value, dict),
+        "array": isinstance(value, list),
+        "number": is_number,
+        "integer": is_number and (isinstance(value, int) or value.is_integer()),
+    }[kind]:
+        return path, f"{json.dumps(value)} is not of type {kind!r}"
+    if kind == "number" and not abs(value) <= sys.float_info.max:
+        return path, "value must be finite"
+    if "minimum" in schema and value < schema["minimum"]:
+        return path, f"{value} is less than the minimum of {schema['minimum']}"
+    children = []
+    if kind == "object":
+        properties = schema["properties"]
+        unknown = sorted(set(value) - set(properties))
+        if unknown and schema["additionalProperties"] is False:
+            return path, "unknown keys: " + ", ".join(unknown)
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            return path, f"{missing[0]!r} is a required property"
+        children = [
+            (f"{path}.{key}" if path else key, value[key], properties[key]) for key in sorted(value)
+        ]
+    elif kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            return path, f"expected at least {schema['minItems']} items, got {len(value)}"
+        children = [(f"{path}[{i}]", item, schema["items"]) for i, item in enumerate(value)]
+    for child_path, child, child_schema in children:
+        found = _first_violation(child, child_schema, child_path)
+        if found:
+            return found
+    return None
 
 
 def parse_config(document: str) -> RunConfig:
@@ -105,40 +129,26 @@ def parse_config(document: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not well-formed JSON: {exc}") from None
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise ConfigError(f"schema error at {_path_of(first)}: {first.message}")
+    found = _first_violation(raw, CONFIG_SCHEMA)
+    if found:
+        path, message = found
+        raise ConfigError(f"schema error at {path or '<document root>'}: {message}")
 
-    half_length = raw["half_length"]
-    theta = float(raw.get("theta", DEFAULT_THETA))
     lengths = raw.get("edge_lengths", {})
-    internal = int(lengths.get("internal", DEFAULT_CONVENTION.internal_length))
-    external = int(lengths.get("external", 1))
-    regions = tuple(
-        (r["from"], r["to"], float(r["phi_a"]), float(r["phi_b"])) for r in raw["regions"]
-    )
-
-    if not math.isfinite(theta):
-        raise ConfigError("schema error at theta: value must be finite")
-    for i, (_, _, pa, pb) in enumerate(regions):
-        if not math.isfinite(pa):
-            raise ConfigError(f"schema error at regions[{i}].phi_a: value must be finite")
-        if not math.isfinite(pb):
-            raise ConfigError(f"schema error at regions[{i}].phi_b: value must be finite")
-
+    half_length = int(raw["half_length"])
     try:
-        profile = PhaseProfile(regions)
+        profile = PhaseProfile(tuple(
+            (r["from"], r["to"], r["phi_a"], r["phi_b"]) for r in raw["regions"]
+        ))
         profile.phases(half_length)  # disjoint + coverage of [-M, M]
     except ValueError as exc:
         raise ConfigError(f"schema error at regions: {exc}") from None
 
     return RunConfig(
         half_length=half_length,
-        theta=theta,
-        regions=regions,
-        internal_length=internal,
-        external_length=external,
-        steps=raw.get("steps"),
+        theta=float(raw.get("theta", DEFAULT_THETA)),
+        regions=profile.regions,  # (int, int, float, float) each
+        internal_length=int(lengths.get("internal", DEFAULT_CONVENTION.internal_length)),
+        external_length=int(lengths.get("external", 1)),
+        steps=int(raw["steps"]) if "steps" in raw else None,
     )

@@ -1,15 +1,18 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 import diamondwalk
-from diamondwalk import ConfigError, parse_config
+from diamondwalk import ConfigError, PhaseProfile, parse_config
 from diamondwalk.cli import main
+from diamondwalk.config import CONFIG_SCHEMA
 
 FIG5_CONFIG = {
     "half_length": 8,
@@ -25,6 +28,16 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def replaced(keys, value):
+    """A copy of FIG5_CONFIG with the value at ``keys`` (a JSON path) replaced."""
+    doc = json.loads(json.dumps(FIG5_CONFIG))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
 
 
 class TestParseConfig:
@@ -69,6 +82,20 @@ class TestParseConfig:
         bad = dict(FIG5_CONFIG, theta=math.inf)
         with pytest.raises(ConfigError, match="finite"):
             parse_config(json.dumps(bad))
+
+    @pytest.mark.parametrize("doc, path", [
+        (replaced(["half_length"], True), "half_length"),
+        (replaced(["half_length"], 8.5), "half_length"),
+        (replaced(["regions", 0, "phi_a"], True), "regions[0].phi_a"),
+        (replaced(["edge_lengths"], {"internal": 2, "diagonal": 1}), "edge_lengths"),
+        (replaced(["regions"], []), "regions"),
+        ([FIG5_CONFIG], "<document root>"),
+    ], ids=["bool-half-length", "fractional-half-length", "bool-phase",
+            "unknown-edge-length", "empty-regions", "non-object-root"])
+    def test_schema_error_names_the_path(self, doc, path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value).startswith(f"schema error at {path}: ")
 
 
 class TestCli:
@@ -156,6 +183,20 @@ class TestCli:
                      "--out", str(blocker / "x.csv")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_walk_integral_float_config_matches_integer_config(self, tmp_path):
+        floats = replaced(["regions", 0, "from"], -8.0)
+        floats.update(half_length=8.0, steps=10.0)
+        config = parse_config(json.dumps(floats))
+        assert type(config.half_length) is int and type(config.steps) is int
+        assert config == parse_config(json.dumps(FIG5_CONFIG))
+        csv = []
+        for name, payload in (("int", FIG5_CONFIG), ("float", floats)):
+            path = write_config(tmp_path, payload, f"{name}.json")
+            out = tmp_path / f"{name}.csv"
+            assert main(["walk", "--config", str(path), "--out", str(out)]) == 0
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
+
     def test_walk_light_cone_overflow_exit_code(self, tmp_path):
         payload = dict(FIG5_CONFIG, half_length=3, steps=40)
         payload["regions"] = [{"from": -3, "to": 3, "phi_a": 0.0, "phi_b": 0.0}]
@@ -185,11 +226,12 @@ class TestCli:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is a test dependency only; importing it cost about 0.45 s per process
+# both are test-only oracles; importing scipy cost about 0.45 s per process, jsonschema 0.08 s
+@pytest.mark.parametrize("root", ["scipy", "jsonschema"])
+def test_importing_the_cli_loads_no_test_only_package(root):
     code = (
         "import sys, diamondwalk.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {root!r}))"
     )
     src = str(Path(diamondwalk.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -198,3 +240,72 @@ def test_importing_the_cli_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _random_mutation(doc, rng):
+    """Swap a value, delete a key or item, or add one, at a random path of ``doc``."""
+    values = [True, False, None, "abc", 0, 1, -1, 2, 8, 10, 8.0, -8.0, 0.0, 8.5, -0.5,
+              [], [1], {}, {"internal": 2}, {"external": 1.5}, FIG5_CONFIG["regions"][1]]
+    keys = ["half_length", "theta", "steps", "regions", "edge_lengths", "from", "to",
+            "phi_a", "phi_b", "internal", "external", "extra"]
+    paths, stack = [], [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        paths.append((path, node))
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            stack.extend((path + (key,), child) for key, child in items)
+    path, node = rng.choice(paths)
+    kind = rng.choice(["swap", "delete", "add"])
+    value = json.loads(json.dumps(rng.choice(values)))
+    if kind == "add" and isinstance(node, dict):
+        node[rng.choice(keys)] = value
+    elif kind == "add" and isinstance(node, list):
+        node.insert(rng.randrange(len(node) + 1), value)
+    elif not path:
+        return value  # the root itself is swapped or deleted
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def test_parse_config_agrees_with_jsonschema_on_mutated_configs():
+    # no mutation makes a number non-finite: JSON Schema accepts those, parse_config does not
+    validator = Draft202012Validator(CONFIG_SCHEMA)
+    rng = random.Random(2017)
+    outcomes = {"accepted": 0, "bad_profile": 0, "schema_error": 0}
+    for _ in range(3000):
+        doc = json.loads(json.dumps(FIG5_CONFIG))
+        for _ in range(rng.randint(1, 3)):
+            doc = _random_mutation(doc, rng)
+        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        try:
+            parse_config(json.dumps(doc))
+            message = None
+        except ConfigError as exc:
+            message = str(exc)
+        if errors:
+            path = ""
+            for part in errors[0].absolute_path:
+                path += f"[{part}]" if isinstance(part, int) else f".{part}" if path else part
+            assert message is not None, doc
+            assert message.startswith(f"schema error at {path or '<document root>'}: "), doc
+            outcomes["schema_error"] += 1
+            continue
+        # valid by the schema, so only the region profile may still be refused
+        try:
+            PhaseProfile(tuple(
+                (r["from"], r["to"], r["phi_a"], r["phi_b"]) for r in doc["regions"]
+            )).phases(int(doc["half_length"]))
+            expected = None
+        except ValueError as exc:
+            expected = f"schema error at regions: {exc}"
+        assert message == expected, doc
+        outcomes["bad_profile" if expected else "accepted"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
