@@ -25,7 +25,6 @@ from .diamond import (
     DiamondScattering,
     EdgeConvention,
     NoConventionMatches,
-    SingularPoint,
     SingularSystem,
     calibrate_edge_convention,
     oracle_deviation,
@@ -40,7 +39,7 @@ from .lattice import (
     audit_graph,
     build_lattice,
 )
-from .multiport import VertexUnitary, check_unitary, vertex_unitary
+from .multiport import check_unitary, vertex_unitary
 from .walk import (
     LightConeOverflow,
     WalkObservables,
@@ -72,7 +71,6 @@ __all__ = [
     "DiamondScattering",
     "EdgeConvention",
     "NoConventionMatches",
-    "SingularPoint",
     "SingularSystem",
     "calibrate_edge_convention",
     "oracle_deviation",
@@ -84,7 +82,6 @@ __all__ = [
     "PhaseProfile",
     "audit_graph",
     "build_lattice",
-    "VertexUnitary",
     "check_unitary",
     "vertex_unitary",
     "LightConeOverflow",

@@ -76,7 +76,6 @@ class BandResult:
 
 @dataclass(frozen=True)
 class WindingResult:
-    d_curve: np.ndarray  # (n_k, 2) columns d_x, d_y
     nu: int
     min_radius: float
 
@@ -216,14 +215,14 @@ def _refined_gap(phi_a: np.ndarray, phi_b: np.ndarray, e_plus: np.ndarray, k: np
 
 
 def _winding(ta, tb, k):
-    """d(k) components, winding turns and minimum radius along the last axis."""
+    """Winding turns and minimum radius of the d(k) curve along the last axis."""
     d_x = ta + tb * np.cos(k)
     d_y = tb * np.sin(k)
     angles = np.arctan2(d_y, d_x)
     increments = np.diff(angles, axis=-1, append=angles[..., :1])
     increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
     turns = increments.sum(axis=-1) / (2.0 * math.pi)
-    return d_x, d_y, turns, np.hypot(d_x, d_y).min(axis=-1)
+    return turns, np.hypot(d_x, d_y).min(axis=-1)
 
 
 def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
@@ -258,8 +257,8 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
 def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     """Winding of the d(k) curve for given hopping magnitudes.
 
-    ``abs_ta``/``abs_tb`` may be scalars (SSH-like constant hoppings), arrays
-    over the Brillouin-zone grid, or callables of k.  Raises
+    ``abs_ta``/``abs_tb`` may be scalars (SSH-like constant hoppings) or
+    arrays over the Brillouin-zone grid.  Raises
     :class:`GapClosed` when the curve approaches the origin or when the
     accumulated angle does not settle on an integer multiple of 2pi (which
     means the sampled curve jumped past the origin).
@@ -267,10 +266,10 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
-    ta = np.broadcast_to(abs_ta(k) if callable(abs_ta) else abs_ta, k.shape).astype(float)
-    tb = np.broadcast_to(abs_tb(k) if callable(abs_tb) else abs_tb, k.shape).astype(float)
+    ta = np.broadcast_to(abs_ta, k.shape).astype(float)
+    tb = np.broadcast_to(abs_tb, k.shape).astype(float)
 
-    d_x, d_y, turns, min_radius = _winding(ta, tb, k)
+    turns, min_radius = _winding(ta, tb, k)
     min_radius = float(min_radius)
     if min_radius < _MIN_RADIUS:
         raise GapClosed(
@@ -283,7 +282,7 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
             f"angle sum {turns:.4f} turns is not close to an integer; "
             "refine n_k or treat the gap as closed"
         )
-    return WindingResult(d_curve=np.column_stack([d_x, d_y]), nu=int(nu), min_radius=min_radius)
+    return WindingResult(nu=int(nu), min_radius=min_radius)
 
 
 def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult:
@@ -297,8 +296,8 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
 
     Each point gets the gap of :func:`band_structure` and the winding of
     :func:`winding_number` at the same ``n_k``, bit for bit.  ``|t(phi, k)|``
-    is tabulated once per distinct phase; the splitting, gap refinement and
-    winding then run over blocks of pairs at once.
+    is tabulated in one call over the distinct phases; the splitting, gap
+    refinement and winding then run over blocks of pairs at once.
     """
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
@@ -308,7 +307,7 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
     phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
-    table = np.stack([hopping_magnitude(phi, k) for phi in phases])
+    table = hopping_magnitude(phases[:, None], k)
     row_a, row_b = which[: phi_a_grid.size], which[phi_a_grid.size :]
 
     shape = (phi_a_grid.size, phi_b_grid.size)
@@ -321,7 +320,7 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
         i, j = np.divmod(pairs, phi_b_grid.size)
         ta, tb = table[row_a[i]], table[row_b[j]]
         gap[pairs], _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], dispersion(ta, tb, k), k)
-        _, _, turns[pairs], min_radius[pairs] = _winding(ta, tb, k)
+        turns[pairs], min_radius[pairs] = _winding(ta, tb, k)
 
     nu = np.round(turns) + 0.0  # + 0.0: -0.0 -> 0.0, as round() gives
     closed = (min_radius < _MIN_RADIUS) | (np.abs(turns - nu) > _INTEGER_SLACK)

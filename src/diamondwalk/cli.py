@@ -6,8 +6,8 @@ long format with floats at 17 significant digits, JSON is emitted with sorted
 keys, and no randomness exists anywhere in the model.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (singular
-point/system, closed gap, light-cone overflow, failed calibration),
-4 internal invariant violation.
+system, closed gap, light-cone overflow, failed calibration), 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from . import bands as bands_mod
 from . import walk as walk_mod
 from .config import ConfigError, RunConfig, parse_config
 from .diamond import (
-    DEFAULT_CONVENTION,
     NoConventionMatches,
-    SingularPoint,
     SingularSystem,
     calibrate_edge_convention,
     oracle_deviation,
@@ -43,7 +41,6 @@ EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
 _NUMERICAL_ERRORS = (
-    SingularPoint,
     SingularSystem,
     NoConventionMatches,
     bands_mod.GapClosed,
@@ -190,19 +187,13 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
         return summary
 
     if figure == "fig5":
-        internal = DEFAULT_CONVENTION.internal_length
-        per_record = internal + 1
+        per_record = LatticeSpec.internal_length + LatticeSpec.external_length
         half = walk_mod.auto_half_length(steps, per_record, 2 * per_record)
         boundary_spec = LatticeSpec(
             half_length=half,
             profile=PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half, boundary=0),
-            internal_length=internal,
         )
-        uniform_spec = LatticeSpec(
-            half_length=half,
-            profile=PhaseProfile.uniform(0.0, 0.0, half),
-            internal_length=internal,
-        )
+        uniform_spec = LatticeSpec(half_length=half, profile=PhaseProfile.uniform(0.0, 0.0, half))
         results = {}
         for name, spec in ("boundary", boundary_spec), ("uniform", uniform_spec):
             graph = build_lattice(spec)

@@ -2,7 +2,7 @@
 
 :data:`CONFIG_SCHEMA` describes the format (unknown keys rejected); the
 regions must also be disjoint and cover cells [-half_length, half_length].
-``theta`` defaults to -pi/2 and ``edge_lengths`` to the calibrated convention.
+``theta`` defaults to -pi/2 and ``edge_lengths`` to :class:`LatticeSpec`'s defaults.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .diamond import DEFAULT_CONVENTION
 from .lattice import LatticeSpec, PhaseProfile
 from .multiport import DEFAULT_THETA
 
@@ -148,7 +147,7 @@ def parse_config(document: str) -> RunConfig:
         half_length=half_length,
         theta=float(raw.get("theta", DEFAULT_THETA)),
         regions=profile.regions,  # (int, int, float, float) each
-        internal_length=int(lengths.get("internal", DEFAULT_CONVENTION.internal_length)),
-        external_length=int(lengths.get("external", 1)),
+        internal_length=int(lengths.get("internal", LatticeSpec.internal_length)),
+        external_length=int(lengths.get("external", LatticeSpec.external_length)),
         steps=int(raw["steps"]) if "steps" in raw else None,
     )

@@ -30,7 +30,6 @@ import numpy as np
 from .multiport import DEFAULT_THETA, vertex_unitary
 
 __all__ = [
-    "SingularPoint",
     "SingularSystem",
     "NoConventionMatches",
     "EdgeConvention",
@@ -46,10 +45,6 @@ __all__ = [
 # form; the k-offset used for the directional limit sits well outside it.
 _SINGULAR_DENOM_TOL = 1e-8
 _LIMIT_OFFSET = 1e-6
-
-
-class SingularPoint(ArithmeticError):
-    """Closed-form transmission hit a 0/0 point and limits were disabled."""
 
 
 class SingularSystem(ArithmeticError):
@@ -95,10 +90,7 @@ class DiamondScattering:
     lead: ``[[r_left, t_right_to_left], [t_left_to_right, r_right]]``.
     """
 
-    phi: float
-    k: float
     s_matrix: np.ndarray
-    convention: EdgeConvention
 
     @property
     def reflection(self) -> complex:
@@ -125,17 +117,15 @@ def _closed_form_raw(phi, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def transmission_closed_form(phi, k, *, limit_at_singularities: bool = True):
+def transmission_closed_form(phi, k):
     """Closed-form transmission amplitude ``t(phi, k)`` of one diamond.
 
     ``phi`` and ``k`` may be scalars or arrays that broadcast against each
     other; every element equals the call with that element's scalar ``phi``
     and ``k``.  Two scalars give a ``complex``.  The formula has removable 0/0
     points (only at ``phi = 0 mod 2pi``, ``k = 0 mod pi/2``, where
-    ``|t| -> 1``); by default those are evaluated as the symmetric numerical
-    limit along k, accurate to about 1e-10.  With
-    ``limit_at_singularities=False`` a :class:`SingularPoint` is raised
-    instead, so grid sweeps can exclude the points explicitly.
+    ``|t| -> 1``); those are evaluated as the symmetric numerical limit along
+    k, accurate to about 1e-10.
     """
     phi_arr = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi_arr)):
@@ -151,11 +141,6 @@ def transmission_closed_form(phi, k, *, limit_at_singularities: bool = True):
     if np.any(singular):
         phi_s = np.broadcast_to(phi_arr, out.shape)[singular]
         k_s = np.broadcast_to(k_arr, out.shape)[singular]
-        if not limit_at_singularities:
-            raise SingularPoint(
-                f"closed form is 0/0 at (phi={float(phi_s[0])!r}, k={float(k_s[0])!r}); "
-                "enable limit_at_singularities or move off the point"
-            )
         lo_n, lo_d = _closed_form_raw(phi_s, k_s - _LIMIT_OFFSET)
         hi_n, hi_d = _closed_form_raw(phi_s, k_s + _LIMIT_OFFSET)
         out[singular] = 0.5 * (lo_n / lo_d + hi_n / hi_d)
@@ -187,7 +172,7 @@ def solve_diamond(
     """
     if not (math.isfinite(phi) and math.isfinite(k)):
         raise ValueError("phi and k must be finite")
-    u = vertex_unitary(theta).matrix
+    u = vertex_unitary(theta)
     edge = np.exp(1j * (k * convention.internal_length + convention.traversal_phase))
     hop = np.diag([0.0, edge, edge * np.exp(1j * phi)]).astype(complex)
 
@@ -211,7 +196,7 @@ def solve_diamond(
         [[sol[0, 0], sol[0, 1]], [sol[3, 0], sol[3, 1]]], dtype=complex
     )
     s_matrix.setflags(write=False)
-    return DiamondScattering(phi=phi, k=k, s_matrix=s_matrix, convention=convention)
+    return DiamondScattering(s_matrix=s_matrix)
 
 
 def _midpoint_grid(n_phi: int, n_k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,34 +228,26 @@ def oracle_deviation(
     return worst
 
 
-def calibrate_edge_convention(
-    *,
-    lengths: tuple[int, ...] = (1, 2, 3, 4),
-    n_phi: int = 16,
-    n_k: int = 16,
-    tol: float = 1e-6,
-    theta: float = DEFAULT_THETA,
-) -> EdgeConvention:
+def calibrate_edge_convention(*, theta: float = DEFAULT_THETA) -> EdgeConvention:
     """Recover the edge convention that makes the solver reproduce the closed form.
 
-    Scans internal edge lengths and per-traversal quarter-wave counts, scoring
-    each candidate by its worst ``|t|`` deviation from the closed form over a
-    (phi, k) grid.  Returns the best candidate; raises
-    :class:`NoConventionMatches` if even the best deviates by more than
-    ``tol``, which indicates a construction error rather than a tolerance
-    problem.
+    Scans internal edge lengths 1-4 and per-traversal quarter-wave counts,
+    scoring each candidate by its worst ``|t|`` deviation from the closed form
+    over a 16x16 (phi, k) grid.  Returns the best candidate; raises
+    :class:`NoConventionMatches` if even the best deviates by more than 1e-6,
+    which indicates a construction error rather than a tolerance problem.
     """
     best: tuple[float, EdgeConvention] | None = None
-    for length in lengths:
+    for length in (1, 2, 3, 4):
         for quarter in range(4):
             candidate = EdgeConvention(internal_length=length, quarter_turns=quarter)
-            dev = oracle_deviation(candidate, n_phi, n_k, theta=theta)
+            dev = oracle_deviation(candidate, 16, 16, theta=theta)
             if best is None or dev < best[0]:
                 best = (dev, candidate)
     assert best is not None
     dev, convention = best
-    if dev > tol:
+    if dev > 1e-6:
         raise NoConventionMatches(
-            f"best candidate {convention} still deviates by {dev:.3e} (> {tol:.1e})"
+            f"best candidate {convention} still deviates by {dev:.3e} (> 1.0e-06)"
         )
     return convention

@@ -303,7 +303,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
         n_cells=n_cells,
         n_diamonds=n_diamonds,
         n_vertices=n_vertices,
-        vertex_matrix=vertex_unitary(spec.theta).matrix,
+        vertex_matrix=vertex_unitary(spec.theta),
         diamond_phi=diamond_phi,
         edge_length=edge_length,
         edge_phase=edge_phase,

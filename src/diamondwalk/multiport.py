@@ -13,45 +13,22 @@ Port indexing is fixed as (A, B, C) -> (0, 1, 2) throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DEFAULT_THETA", "VertexUnitary", "vertex_unitary", "check_unitary"]
+__all__ = ["DEFAULT_THETA", "vertex_unitary", "check_unitary"]
 
 # the quarter-wave vertex used by the diamond chain simulations
 DEFAULT_THETA = -math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class VertexUnitary:
-    """A three-port vertex: its phase parameter and the 3x3 unitary it induces.
+def vertex_unitary(theta: float) -> np.ndarray:
+    """The read-only three-port unitary for internal phase shift ``theta``.
 
-    The matrix maps incoming port amplitudes to outgoing port amplitudes,
-    ``out = matrix @ in``.  Instances are immutable values; the array is
-    shared read-only.
-    """
-
-    theta: float
-    matrix: np.ndarray
-
-    @property
-    def reflection(self) -> complex:
-        """Amplitude to exit back out the input port (any diagonal entry)."""
-        return complex(self.matrix[0, 0])
-
-    @property
-    def transmission(self) -> complex:
-        """Amplitude to exit one of the two other ports (any off-diagonal entry)."""
-        return complex(self.matrix[0, 1])
-
-
-def vertex_unitary(theta: float) -> VertexUnitary:
-    """Build the three-port unitary for internal phase shift ``theta``.
-
-    The matrix is ``e^{i theta}/(2 + i e^{i theta})`` times a symmetric
-    pattern with 1 on the diagonal and ``i e^{-i theta} - 1`` off it.  It is
-    unitary for every real theta.  Two special values:
+    It maps incoming port amplitudes to outgoing ones, ``out = U @ in``, and
+    is ``e^{i theta}/(2 + i e^{i theta})`` times a symmetric pattern with 1 on
+    the diagonal and ``i e^{-i theta} - 1`` off it.  It is unitary for every
+    real theta.  Two special values:
 
     * ``theta = -pi/2``: every entry purely imaginary, ``-i/3`` on the
       diagonal and ``2i/3`` off it.  This is the vertex used by the diamond
@@ -68,7 +45,7 @@ def vertex_unitary(theta: float) -> VertexUnitary:
     np.fill_diagonal(matrix, 1.0)
     matrix *= prefactor
     matrix.setflags(write=False)
-    return VertexUnitary(theta=theta, matrix=matrix)
+    return matrix
 
 
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:

@@ -68,10 +68,10 @@ class WalkObservables:
     p_boundary: np.ndarray
 
 
-def auto_half_length(n_record: int, substeps_per_record: int, substeps_per_cell: int,
-                     margin: int = 2) -> int:
-    """Half length that keeps the light cone (<= 1 sub-step per step) inside."""
-    return math.ceil(n_record * substeps_per_record / substeps_per_cell) + margin
+def auto_half_length(n_record: int, substeps_per_record: int, substeps_per_cell: int) -> int:
+    """Half length that keeps the light cone (<= 1 sub-step per step) inside,
+    with two cells to spare."""
+    return math.ceil(n_record * substeps_per_record / substeps_per_cell) + 2
 
 
 def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) -> WalkState:
@@ -80,17 +80,14 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
     ``direction='right'`` places a right-moving photon on the external edge to
     the diamond's left, ``'left'`` a left-moving photon on the edge to its
     right; either way the amplitude sits one sub-step before its first
-    collision with that diamond.
+    collision with that diamond, in the slot that feeds port A of the
+    diamond's left vertex (``2d``) or right vertex (``2d + 1``).
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     d = graph.diamond_index(cell, subsite)  # validates cell and subsite
-    if direction == "right":
-        de = graph.directed(graph.external_edge(d), 0)
-    else:
-        de = graph.directed(graph.external_edge(d + 1), 1)
     amplitudes = np.zeros(graph.dim, dtype=complex)
-    amplitudes[graph.slots(de).stop - 1] = 1.0
+    amplitudes[graph.in_slot[2 * d + (direction == "left"), 0]] = 1.0
     return WalkState(amplitudes=amplitudes, time=0)
 
 

@@ -2,8 +2,8 @@
 
 One scalar closed form per (phi, k), scipy's bounded ``minimize_scalar`` for
 each gap, and a Python double loop over the phase grid.  The library computes
-the same numbers batched (one ``|t|`` table per phase, a lockstep Brent search
-over all pairs); the tests require the two to agree bit for bit.
+the same numbers batched (one ``|t|`` table over all phases, a lockstep Brent
+search over all pairs); the tests require the two to agree bit for bit.
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from diamondwalk import GapClosed, PhaseDiagram, SingularPoint
+from diamondwalk import GapClosed, PhaseDiagram
 
 _SINGULAR_DENOM_TOL = 1e-8
 _LIMIT_OFFSET = 1e-6
@@ -27,7 +27,7 @@ def _closed_form_raw(phi: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return num, den
 
 
-def transmission_closed_form(phi: float, k, *, limit_at_singularities: bool = True):
+def transmission_closed_form(phi: float, k):
     """``t(phi, k)`` for one scalar ``phi``, 0/0 points limit-evaluated one by one."""
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
@@ -42,12 +42,6 @@ def transmission_closed_form(phi: float, k, *, limit_at_singularities: bool = Tr
     out[ok] = num[ok] / den[ok]
 
     if np.any(singular):
-        if not limit_at_singularities:
-            k_bad = float(k_arr[np.argmax(singular)])
-            raise SingularPoint(
-                f"closed form is 0/0 at (phi={phi!r}, k={k_bad!r}); "
-                "enable limit_at_singularities or move off the point"
-            )
         for idx in np.flatnonzero(singular):
             k0 = k_arr[idx]
             lo_n, lo_d = _closed_form_raw(phi, np.array([k0 - _LIMIT_OFFSET]))

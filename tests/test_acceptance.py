@@ -106,12 +106,12 @@ def test_criterion_01_unitary_construction():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
     all_unitary = all(
-        check_unitary(vertex_unitary(float(t)).matrix, 1e-12)
+        check_unitary(vertex_unitary(float(t)), 1e-12)
         for t in rng.uniform(0.0, 2.0 * math.pi, 100)
     )
     expected = (-1j / 3.0) * np.array([[1, -2, -2], [-2, 1, -2], [-2, -2, 1]])
-    quarter_dev = np.abs(vertex_unitary(-math.pi / 2).matrix - expected).max()
-    unbiased_dev = np.abs(np.abs(vertex_unitary(math.pi / 6).matrix) ** 2 - 1 / 3).max()
+    quarter_dev = np.abs(vertex_unitary(-math.pi / 2) - expected).max()
+    unbiased_dev = np.abs(np.abs(vertex_unitary(math.pi / 6)) ** 2 - 1 / 3).max()
     elapsed = time.perf_counter() - start
     ok = all_unitary and quarter_dev <= 1e-15 and unbiased_dev <= 1e-12 and elapsed < 1.0
     report(1, ok, f"unitary construction (quarter-wave dev {quarter_dev:.1e}, "

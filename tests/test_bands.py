@@ -118,8 +118,8 @@ def test_winding_rejects_tiny_grid():
         winding_number(1.0, 2.0, 32)
 
 
-def test_winding_accepts_callable_hoppings():
-    res = winding_from_hoppings(lambda k: 0.2 + 0 * k, lambda k: 0.9 + 0 * k, 128)
+def test_winding_from_scalar_hoppings_radius():
+    res = winding_from_hoppings(0.2, 0.9, 128)
     assert res.nu == 1
     assert res.min_radius == pytest.approx(0.7, abs=1e-12)
 

@@ -7,7 +7,6 @@ from diamondwalk import (
     DEFAULT_CONVENTION,
     EdgeConvention,
     NoConventionMatches,
-    SingularPoint,
     SingularSystem,
     calibrate_edge_convention,
     oracle_deviation,
@@ -32,14 +31,6 @@ def test_closed_form_full_transmission_limit_at_origin():
     assert abs(small[0] - 1.0) < 1e-4
     # and the removable point itself evaluates to the limit
     assert abs(transmission_closed_form(0.0, 0.0) - 1.0) <= 1e-9
-
-
-def test_singular_point_raised_when_limits_disabled():
-    with pytest.raises(SingularPoint):
-        transmission_closed_form(0.0, 0.0, limit_at_singularities=False)
-    # off the removable set the flag is irrelevant
-    t = transmission_closed_form(0.4, 1.3, limit_at_singularities=False)
-    assert np.isfinite(t)
 
 
 def test_solver_singular_at_bound_state_point():
@@ -79,15 +70,6 @@ def test_closed_form_array_phi_is_bitwise_a_loop_of_scalar_calls():
     # array phi against a scalar k
     column = transmission_closed_form(phis, np.pi / 2)
     assert np.array_equal(bits(column), bits(loop[:, 1]))
-
-
-def test_closed_form_array_phi_raises_at_singular_point_when_limits_disabled():
-    phis = np.array([0.4, 0.0, 1.0])
-    ks = np.array([1.3, np.pi / 2, 2.0])
-    with pytest.raises(SingularPoint, match="phi=0.0"):
-        transmission_closed_form(phis, ks, limit_at_singularities=False)
-    off = transmission_closed_form(phis, ks + 0.1, limit_at_singularities=False)
-    assert np.all(np.isfinite(off))
 
 
 def test_closed_form_rejects_nan_anywhere_in_phi():

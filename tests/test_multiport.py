@@ -16,28 +16,28 @@ def quarter_wave_expected():
 
 def test_quarter_wave_matrix_entrywise():
     u = vertex_unitary(QUARTER_WAVE)
-    assert np.abs(u.matrix - quarter_wave_expected()).max() <= 1e-15
+    assert np.abs(u - quarter_wave_expected()).max() <= 1e-15
 
 
 def test_quarter_wave_entries_purely_imaginary():
     u = vertex_unitary(QUARTER_WAVE)
-    assert np.abs(u.matrix.real).max() <= 1e-15
+    assert np.abs(u.real).max() <= 1e-15
 
 
 def test_strictly_unbiased_exit_probabilities():
     u = vertex_unitary(np.pi / 6.0)
-    assert np.abs(np.abs(u.matrix) ** 2 - 1.0 / 3.0).max() <= 1e-12
+    assert np.abs(np.abs(u) ** 2 - 1.0 / 3.0).max() <= 1e-12
 
 
 def test_unitary_for_100_random_thetas():
     rng = np.random.default_rng(20240817)
     for theta in rng.uniform(0.0, 2.0 * np.pi, size=100):
-        assert check_unitary(vertex_unitary(float(theta)).matrix, 1e-12)
+        assert check_unitary(vertex_unitary(float(theta)), 1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, -np.pi / 2, np.pi / 6, 3.1, 2 * np.pi])
 def test_port_exchange_symmetry(theta):
-    m = vertex_unitary(theta).matrix
+    m = vertex_unitary(theta)
     diag = np.diag(m)
     off = m[~np.eye(3, dtype=bool)]
     # the construction broadcasts a single value into each group
@@ -49,7 +49,7 @@ def test_port_exchange_symmetry(theta):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 def test_unitarity_property(theta):
-    assert check_unitary(vertex_unitary(theta).matrix, 1e-12)
+    assert check_unitary(vertex_unitary(theta), 1e-12)
 
 
 def test_vertex_unitary_rejects_non_finite():

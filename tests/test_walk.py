@@ -41,6 +41,23 @@ def test_initial_state_probability_and_norm():
     assert state.norm() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_initial_state_sits_one_substep_before_its_diamond(internal, external):
+    g = graph_for(3, internal=internal, external=external)
+    for cell in range(-3, 4):
+        for subsite in ("a", "b"):
+            d = g.diamond_index(cell, subsite)
+            for direction, edge, sense, vertex in (("right", d, 0, 2 * d),
+                                                   ("left", d + 1, 1, 2 * d + 1)):
+                state = initial_state(g, cell, subsite, direction)
+                expected = np.zeros(g.dim, dtype=complex)
+                expected[g.slots(g.directed(g.external_edge(edge), sense)).stop - 1] = 1.0
+                assert np.array_equal(state.amplitudes, expected)
+                after = step(state, g)
+                support = np.flatnonzero(after.amplitudes)
+                assert np.array_equal(support, np.sort(g.out_slot[vertex]))
+
+
 @pytest.mark.parametrize("cell,subsite", [(5, "a"), (-5, "b")])
 def test_initial_state_rejects_out_of_range(cell, subsite):
     g = graph_for(4)
