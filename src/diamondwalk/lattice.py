@@ -20,8 +20,14 @@ Indexing is fully deterministic:
   right one);
 * directed edges: ``2*edge + direction`` with direction 0 = left-to-right
   (right-moving) and 1 = right-to-left;
-* amplitude slots: each directed edge of length L owns L consecutive slots,
-  one per sub-step of travel.
+* amplitude slots: each directed edge of length L owns L consecutive slots in
+  travel order, one per sub-step, and the directed edges follow each other in
+  index order, so slot bases are the cumulative sum of the lengths.
+
+This layout is a contract, not an implementation detail: the walk's free
+propagation is a shift by one slot, and the tests' addressing helpers
+(``tests/step_oracle.py``) derive every slot range from the spec and this
+layout alone.
 
 Ports follow the (A, B, C) -> (0, 1, 2) convention: port A faces the external
 edge, ports B and C the top and bottom internal edges.
@@ -169,25 +175,19 @@ class LatticeGraph:
     n_diamonds: int
     n_vertices: int
     vertex_matrix: np.ndarray  # shared 3x3 unitary (theta is global)
-    diamond_phi: np.ndarray  # (n_diamonds,)
 
     # undirected edge tables
-    edge_length: np.ndarray
     edge_phase: np.ndarray
     edge_kind: np.ndarray
     edge_vertex: np.ndarray  # (n_edges, 2) left/right endpoint vertex, -1 = mirror
 
-    # directed-edge slot machinery
-    slot_base: np.ndarray  # (2*n_edges,)
-    dir_length: np.ndarray  # (2*n_edges,)
+    # step tables: vertices and mirrors read the last slot of a directed edge
+    # and write the first; the walk shifts every other slot by one
     dim: int
     leaving: np.ndarray  # (n_vertices, 3) directed edge leaving via port
-    arriving: np.ndarray  # (n_vertices, 3) directed edge arriving via port
-    in_slot: np.ndarray  # (n_vertices, 3) final slot of the arriving edge
+    in_slot: np.ndarray  # (n_vertices, 3) final slot of the arriving edge (leaving ^ 1)
     out_slot: np.ndarray  # (n_vertices, 3) first slot of the leaving edge
     out_phase: np.ndarray  # (n_vertices, 3) phase applied on entering the leaving edge
-    adv_src: np.ndarray
-    adv_dst: np.ndarray
     mirror_src: np.ndarray
     mirror_dst: np.ndarray
 
@@ -209,17 +209,6 @@ class LatticeGraph:
                 f"cell {cell} outside [-{self.half_length}, {self.half_length}]"
             )
         return 2 * (cell + self.half_length) + SUBSITES.index(subsite)
-
-    def external_edge(self, j: int) -> int:
-        """Undirected index of external edge j (0..n_diamonds); j enters diamond j."""
-        return 2 * self.n_diamonds + j
-
-    def directed(self, edge: int, direction: int) -> int:
-        return 2 * edge + direction
-
-    def slots(self, directed_edge: int) -> slice:
-        base = int(self.slot_base[directed_edge])
-        return slice(base, base + int(self.dir_length[directed_edge]))
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
@@ -261,20 +250,16 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     on_external = np.arange(3) == 0
     edge = np.where(on_external, n_internal + d + side, 2 * d + np.arange(3) - 1)
     leaving = (2 * edge + (side ^ on_external)).reshape(n_vertices, 3)
-    arriving = leaving ^ 1  # the same edge traversed the other way
 
-    # directed edges and slots
+    # directed edges and slots; a port receives from the edge it sends on,
+    # traversed the other way (directed edge ``leaving ^ 1``)
     dir_length = np.repeat(edge_length, 2)
     slot_base = np.cumsum(dir_length) - dir_length
     slot_last = slot_base + dir_length - 1
     dim = int(dir_length.sum())
-    in_slot = slot_last[arriving]
+    in_slot = slot_last[leaving ^ 1]
     out_slot = slot_base[leaving]
     out_phase = edge_phase[leaving // 2]
-
-    # intra-edge advancement: every slot but the last of each directed edge
-    adv_src = np.delete(np.arange(dim), slot_last)
-    adv_dst = adv_src + 1
 
     # mirror terminations: the backward end of the left stub, then the forward
     # end of the right stub, each reflected into the opposite direction
@@ -293,9 +278,8 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     tail = edge_vertex.ravel()
     slot_cell = np.repeat(np.where(head >= 0, head, tail) // 4, dir_length)
 
-    for arr in (edge_length, edge_phase, edge_kind, edge_vertex, slot_base, dir_length,
-                leaving, arriving, in_slot, out_slot, out_phase, adv_src, adv_dst,
-                mirror_src, mirror_dst, slot_cell, diamond_phi):
+    for arr in (edge_phase, edge_kind, edge_vertex, leaving, in_slot, out_slot, out_phase,
+                mirror_src, mirror_dst, slot_cell):
         arr.setflags(write=False)
 
     return LatticeGraph(
@@ -304,21 +288,14 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
         n_diamonds=n_diamonds,
         n_vertices=n_vertices,
         vertex_matrix=vertex_unitary(spec.theta),
-        diamond_phi=diamond_phi,
-        edge_length=edge_length,
         edge_phase=edge_phase,
         edge_kind=edge_kind,
         edge_vertex=edge_vertex,
-        slot_base=slot_base,
-        dir_length=dir_length,
         dim=dim,
         leaving=leaving,
-        arriving=arriving,
         in_slot=in_slot,
         out_slot=out_slot,
         out_phase=out_phase,
-        adv_src=adv_src,
-        adv_dst=adv_dst,
         mirror_src=mirror_src,
         mirror_dst=mirror_dst,
         slot_cell=slot_cell,
@@ -336,51 +313,53 @@ class AuditReport:
         return not self.violations
 
 
-def _has_repeats(table: np.ndarray) -> bool:
-    ordered = np.sort(table, axis=None)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
-
-
-def _fills_complement(ends: np.ndarray, mirror: np.ndarray) -> bool:
-    """True iff the directed edges listed in ``ends`` are exactly those not in ``mirror``."""
-    ends = ends.ravel()
-    if np.any((ends < 0) | (ends >= mirror.size)):
-        return False
-    wired = np.zeros(mirror.size, dtype=bool)
-    wired[ends] = True
-    return bool(np.array_equal(wired, ~mirror))
+def _multiplicity(table: np.ndarray, size: int) -> np.ndarray | None:
+    """How often each of ``0 .. size - 1`` occurs in ``table``; None if an entry is out of range."""
+    flat = table.ravel()
+    if np.any((flat < 0) | (flat >= size)):
+        return None
+    return np.bincount(flat, minlength=size)
 
 
 def audit_graph(graph: LatticeGraph) -> AuditReport:
-    """Structural audit: degrees, edge partition, chain linearity, counts.
+    """Structural audit: degrees, edge partition, step tables, chain linearity, counts.
 
     Returns counts and a list of violations; an intact graph reports none.
     """
     violations: list[str] = []
-    n_directed = 2 * len(graph.edge_length)
+    n_directed = 2 * graph.edge_kind.size
 
-    # every vertex has its three ports wired to distinct directed edges
+    # every vertex has its three ports wired to distinct directed edges, and
+    # the directed edges not leaving a vertex are exactly those leaving a
+    # mirror; directed edge 2e + direction has its tail at edge_vertex[e, direction]
     if graph.leaving.shape != (graph.n_vertices, 3):
         violations.append("leaving table has wrong shape")
-    if np.any(graph.leaving < 0) or np.any(graph.arriving < 0):
-        bad = np.argwhere(graph.leaving < 0).tolist() + np.argwhere(graph.arriving < 0).tolist()
-        violations.append(f"unwired vertex ports at {bad[:5]}")
-    if _has_repeats(graph.leaving):
+    if np.any(graph.leaving < 0):
+        violations.append(f"unwired vertex ports at {np.argwhere(graph.leaving < 0).tolist()[:5]}")
+    tails = _multiplicity(graph.leaving, n_directed)
+    if tails is not None and tails.max() > 1:
         violations.append("a directed edge leaves more than one (vertex, port)")
-    if _has_repeats(graph.arriving):
-        violations.append("a directed edge arrives at more than one (vertex, port)")
-
-    # directed edges not touching a vertex must be exactly the mirror ends;
-    # directed edge 2e + direction has its tail at edge_vertex[e, direction]
-    mirror_tailed = graph.edge_vertex.ravel() < 0
-    mirror_headed = graph.edge_vertex[:, ::-1].ravel() < 0
-    if not _fills_complement(graph.leaving, mirror_tailed):
+    if tails is None or not np.array_equal(tails > 0, graph.edge_vertex.ravel() >= 0):
         violations.append("directed-edge tails do not partition between vertices and mirrors")
-    if not _fills_complement(graph.arriving, mirror_headed):
-        violations.append("directed-edge heads do not partition between vertices and mirrors")
-    n_mirrors = int(mirror_headed.sum())
+    n_mirrors = int(np.sum(graph.edge_vertex < 0))
     if n_mirrors != 2:
         violations.append(f"expected 2 mirror terminations, found {n_mirrors}")
+
+    # the sub-step is a bijection of slots: vertices and mirrors read distinct
+    # edge ends and write distinct edge starts, the last slot is an end, and
+    # every slot is written exactly once, by a start or by the shift from a
+    # non-end at s - 1
+    ends = _multiplicity(np.concatenate((graph.in_slot.ravel(), graph.mirror_src)), graph.dim)
+    starts = _multiplicity(np.concatenate((graph.out_slot.ravel(), graph.mirror_dst)), graph.dim)
+    if ends is None or starts is None:
+        violations.append("step slot tables point outside the state")
+    else:
+        if max(ends.max(), starts.max()) > 1:
+            violations.append("a slot is read or written by more than one vertex port or mirror")
+        written = starts.copy()
+        written[1:] += ends[:-1] == 0
+        if ends[-1] != 1 or np.any(written != 1):
+            violations.append("step does not write every slot exactly once")
 
     # every slot's probability is attributed to a cell of the chain
     if np.any((graph.slot_cell < 0) | (graph.slot_cell >= graph.n_cells)):

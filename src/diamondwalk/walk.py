@@ -1,11 +1,13 @@
 """Discrete-time single-photon walk on the diamond chain.
 
 State model: one complex amplitude per (directed edge, position-along-edge)
-slot.  One sub-step advances every amplitude by one slot; amplitudes reaching
-a vertex scatter through the three-port unitary into the first slots of the
-outgoing edges (picking up the phase of any shifter on the edge they enter),
-and amplitudes reaching a chain-end mirror reverse with phase -1.  Every
-ingredient is unitary, so the norm is conserved to rounding.
+slot.  Each directed edge's slots are contiguous and in travel order, so one
+sub-step is a shift of the whole state by one slot, followed by the vertex
+scatter and the mirrors, which overwrite the first slot of every edge:
+amplitudes reaching a vertex scatter through the three-port unitary into the
+first slots of the outgoing edges (picking up the phase of any shifter on the
+edge they enter), and amplitudes reaching a chain-end mirror reverse with
+phase -1.  Every ingredient is unitary, so the norm is conserved to rounding.
 
 Observables are recorded stroboscopically: the natural recording cadence is
 one record per diamond-to-diamond travel time (``internal_length +
@@ -92,10 +94,15 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
 
 
 def step(state: WalkState, graph: LatticeGraph) -> WalkState:
-    """Advance one sub-step.  Returns a new state; the input is not modified."""
+    """Advance one sub-step.  Returns a new state; the input is not modified.
+
+    The vertex and mirror writes cover every slot the shift does not
+    (:func:`~diamondwalk.lattice.audit_graph` checks this), so no slot of
+    ``new`` is left unwritten.
+    """
     old = state.amplitudes
-    new = np.zeros_like(old)
-    new[graph.adv_dst] = old[graph.adv_src]
+    new = np.empty_like(old)
+    new[1:] = old[:-1]
     incoming = old[graph.in_slot]                      # (n_vertices, 3)
     outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
     new[graph.out_slot] = outgoing * graph.out_phase

@@ -9,6 +9,7 @@ from diamondwalk import (
     audit_graph,
     build_lattice,
 )
+from step_oracle import directed, external_edge, slots
 
 FIG5_PAIRS = ((1.5, 2.5), (3 * np.pi / 4, 0.0))
 
@@ -34,7 +35,7 @@ def test_counts_m1():
 def test_every_vertex_has_three_wired_ports():
     g = small_graph(half_length=1)
     assert np.all(g.leaving >= 0)
-    assert np.all(g.arriving >= 0)
+    assert np.all(g.in_slot >= 0)
     assert g.leaving.shape == (g.n_vertices, 3)
 
 
@@ -50,8 +51,9 @@ def test_profile_maps_to_diamond_phases():
     profile = PhaseProfile.two_region(FIG5_PAIRS[0], FIG5_PAIRS[1], 2, boundary=0)
     g = small_graph(half_length=2, profile=profile)
     for m, expected in ((0, FIG5_PAIRS[0]), (1, FIG5_PAIRS[1]), (-2, FIG5_PAIRS[0])):
-        assert g.diamond_phi[g.diamond_index(m, "a")] == pytest.approx(expected[0])
-        assert g.diamond_phi[g.diamond_index(m, "b")] == pytest.approx(expected[1])
+        for subsite, phi in zip("ab", expected):
+            bottom = 2 * g.diamond_index(m, subsite) + 1
+            assert g.edge_phase[bottom] == pytest.approx(np.exp(1j * phi))
 
 
 def test_shifted_edge_carries_the_phase():
@@ -82,11 +84,11 @@ def test_slot_cell_counts_gap_amplitude_toward_the_diamond_ahead(internal, exter
     for d in range(g.n_diamonds):
         for e in (2 * d, 2 * d + 1):
             for direction in (0, 1):
-                expected[g.slots(g.directed(e, direction))] = d // 2
+                expected[slots(spec, directed(e, direction))] = d // 2
     for j in range(g.n_diamonds + 1):
-        e = g.external_edge(j)
-        expected[g.slots(g.directed(e, 0))] = min(j, g.n_diamonds - 1) // 2
-        expected[g.slots(g.directed(e, 1))] = max(j - 1, 0) // 2
+        e = external_edge(spec, j)
+        expected[slots(spec, directed(e, 0))] = min(j, g.n_diamonds - 1) // 2
+        expected[slots(spec, directed(e, 1))] = max(j - 1, 0) // 2
     assert np.array_equal(g.slot_cell, expected)
 
 
@@ -137,6 +139,22 @@ def test_audit_flags_slot_cell_out_of_range():
         report = audit_graph(dataclasses.replace(g, slot_cell=broken_cells))
         assert not report.ok
         assert "slot owner cell out of range" in report.violations
+
+
+@pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
+def test_audit_flags_corrupted_step_tables(internal, external):
+    g = build_lattice(LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
+                                  internal_length=internal, external_length=external))
+    in_slot, out_slot, mirror_dst = g.in_slot.copy(), g.out_slot.copy(), g.mirror_dst.copy()
+    in_slot[5, 1] = in_slot[3, 2]  # one edge end read twice, another never
+    out_slot[4, 0] += 1  # a vertex writes one slot past an edge start
+    mirror_dst[0] = g.mirror_src[0]  # the left mirror reflects into its own input
+    for broken in (dataclasses.replace(g, in_slot=in_slot),
+                   dataclasses.replace(g, out_slot=out_slot),
+                   dataclasses.replace(g, mirror_dst=mirror_dst)):
+        report = audit_graph(broken)
+        assert not report.ok
+        assert "step does not write every slot exactly once" in report.violations
 
 
 def test_diamond_index_bounds():

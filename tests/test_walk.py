@@ -11,8 +11,8 @@ from diamondwalk import (
     initial_state,
     step,
 )
-from diamondwalk.walk import cell_probabilities
-from step_oracle import assemble_step_operator
+from diamondwalk.walk import WalkState, cell_probabilities
+from step_oracle import assemble_step_operator, directed, external_edge, slots
 
 FIG5_LEFT = (1.5, 2.5)
 FIG5_RIGHT = (3 * np.pi / 4, 0.0)
@@ -51,7 +51,7 @@ def test_initial_state_sits_one_substep_before_its_diamond(internal, external):
                                                    ("left", d + 1, 1, 2 * d + 1)):
                 state = initial_state(g, cell, subsite, direction)
                 expected = np.zeros(g.dim, dtype=complex)
-                expected[g.slots(g.directed(g.external_edge(edge), sense)).stop - 1] = 1.0
+                expected[slots(g.spec, directed(external_edge(g.spec, edge), sense)).stop - 1] = 1.0
                 assert np.array_equal(state.amplitudes, expected)
                 after = step(state, g)
                 support = np.flatnonzero(after.amplitudes)
@@ -89,12 +89,25 @@ def test_step_operator_unitary_and_magnitude_sums(internal, external):
     assert np.abs(mags.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
-def test_step_matches_operator_powers_20_steps(internal, external):
+# an injection, and a seeded random state whose full support sends every slot
+# through the shift or a vertex, including slot 0, the last slot and every
+# edge boundary
+STEP_STARTS = [(i, e, None) for i, e in EDGE_LENGTHS] + [(i, e, 2017) for i, e in EDGE_LENGTHS]
+
+
+@pytest.mark.parametrize("internal,external,seed", STEP_STARTS,
+                         ids=[f"{i}-{e}" + ("" if seed is None else "-random")
+                              for i, e, seed in STEP_STARTS])
+def test_step_matches_operator_powers_20_steps(internal, external, seed):
     profile = PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, 2, boundary=0)
     g = graph_for(2, profile, internal, external)
     op = assemble_step_operator(g)
-    state = initial_state(g, 0, "a", "right")
+    if seed is None:
+        state = initial_state(g, 0, "a", "right")
+    else:
+        rng = np.random.default_rng(seed)
+        amplitudes = rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)
+        state = WalkState(amplitudes=amplitudes / np.linalg.norm(amplitudes))
     vec = state.amplitudes.copy()
     worst = 0.0
     for _ in range(20):
