@@ -361,6 +361,26 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
         if ends[-1] != 1 or np.any(written != 1):
             violations.append("step does not write every slot exactly once")
 
+    # locality: a vertex port or mirror reads the last slot of the edge it
+    # writes, traversed the other way, so amplitude crosses one vertex per
+    # sub-step (the walk's light-cone window relies on this); and every vertex
+    # output picks up the phase of the edge it enters, a pure phase
+    if tails is not None and n_mirrors == 2:
+        length = np.where(graph.edge_kind == KIND_EXTERNAL,
+                          graph.spec.external_length, graph.spec.internal_length)
+        mirror_tailed = np.flatnonzero(graph.edge_vertex.ravel() < 0)
+        last = np.full(n_directed, -1)
+        last[graph.leaving] = graph.out_slot
+        last[mirror_tailed] = graph.mirror_dst
+        last += np.repeat(length, 2) - 1
+        if not (np.array_equal(graph.in_slot, last[graph.leaving ^ 1])
+                and np.array_equal(graph.mirror_src, last[mirror_tailed ^ 1])):
+            violations.append("a vertex port or mirror does not read the edge it writes")
+        if not np.array_equal(graph.out_phase, graph.edge_phase[graph.leaving >> 1]):
+            violations.append("out_phase differs from the phase of the edge each port writes")
+    if np.any(np.abs(np.abs(graph.edge_phase) - 1.0) > 1e-12):
+        violations.append("an edge phase has modulus other than 1")
+
     # every slot's probability is attributed to a cell of the chain
     if np.any((graph.slot_cell < 0) | (graph.slot_cell >= graph.n_cells)):
         violations.append("slot owner cell out of range")

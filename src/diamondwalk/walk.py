@@ -9,6 +9,13 @@ first slots of the outgoing edges (picking up the phase of any shifter on the
 edge they enter), and amplitudes reaching a chain-end mirror reverse with
 phase -1.  Every ingredient is unitary, so the norm is conserved to rounding.
 
+The step is strictly local: amplitude crosses at most one vertex per
+sub-step.  :func:`evolve` therefore advances and measures only a window of
+diamonds that holds all the nonzero amplitude, grown by one diamond on each
+side before every sub-step; once the window spans the chain it falls back to
+the plain full-chain :func:`step`.  Slots outside the window are exactly zero,
+so the windowed probabilities are bit-identical to the full-chain ones.
+
 Observables are recorded stroboscopically: the natural recording cadence is
 one record per diamond-to-diamond travel time (``internal_length +
 external_length`` sub-steps), which matches the walk-time unit used by the
@@ -93,52 +100,115 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
     return WalkState(amplitudes=amplitudes, time=0)
 
 
-def step(state: WalkState, graph: LatticeGraph) -> WalkState:
-    """Advance one sub-step.  Returns a new state; the input is not modified.
+def _check_state(state: WalkState, graph: LatticeGraph) -> None:
+    if state.amplitudes.shape != (graph.dim,):
+        raise ValueError(f"state has shape {state.amplitudes.shape}, but the graph has "
+                         f"{graph.dim} slots: it was built on another graph")
+
+
+def _window_slots(graph: LatticeGraph, lo: int, hi: int) -> tuple[slice, slice]:
+    """Slots of diamonds ``lo .. hi``: their internal edges, then the external
+    edges ``lo .. hi + 1``, each a contiguous range in the documented layout."""
+    internal, external = graph.spec.internal_length, graph.spec.external_length
+    external_base = 4 * graph.n_diamonds * internal
+    return (slice(4 * lo * internal, 4 * (hi + 1) * internal),
+            slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
+
+
+def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | None = None,
+         out: np.ndarray | None = None) -> WalkState:
+    """Advance one sub-step into ``out`` (a new array when None; never the
+    input's own array); the input is not modified.
 
     The vertex and mirror writes cover every slot the shift does not
-    (:func:`~diamondwalk.lattice.audit_graph` checks this), so no slot of
-    ``new`` is left unwritten.
+    (:func:`~diamondwalk.lattice.audit_graph` checks this), so no slot of the
+    result is left unwritten.  With ``window=(lo, hi)`` only the slots of
+    diamonds ``lo .. hi`` (see :func:`_window_slots`) are read and written,
+    and the slots of ``out`` outside them are left as they are.  This is exact
+    when ``state`` is zero outside the slots of diamonds ``lo + 1 .. hi - 1``;
+    where the window reaches a chain end, that end needs no such margin.
     """
+    _check_state(state, graph)
     old = state.amplitudes
-    new = np.empty_like(old)
-    new[1:] = old[:-1]
-    incoming = old[graph.in_slot]                      # (n_vertices, 3)
+    new = np.empty_like(old) if out is None else out
+    if window is None:
+        new[1:] = old[:-1]
+        rows, ends = slice(None), slice(None)
+    else:
+        lo, hi = window
+        internal, external = _window_slots(graph, lo, hi)
+        new[internal.start + 1 : internal.stop] = old[internal.start : internal.stop - 1]
+        new[external.start + 1 : external.stop] = old[external.start : external.stop - 1]
+        # the forward start of external edge lo is written by vertex 2 lo - 1,
+        # outside the window, which reads only zeros (or by the left mirror)
+        new[external.start] = 0
+        rows = slice(2 * lo, 2 * hi + 2)
+        ends = np.array([lo == 0, hi == graph.n_diamonds - 1])  # mirrors the window reaches
+    incoming = old[graph.in_slot[rows]]                # (n_vertices, 3)
     outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
-    new[graph.out_slot] = outgoing * graph.out_phase
-    new[graph.mirror_dst] = -old[graph.mirror_src]
+    new[graph.out_slot[rows]] = outgoing * graph.out_phase[rows]
+    new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]
     return WalkState(amplitudes=new, time=state.time + 1)
 
 
-def cell_probabilities(graph: LatticeGraph, state: WalkState) -> np.ndarray:
+def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
+                       window: tuple[int, int] | None = None) -> np.ndarray:
     """Probability per cell: each slot's ``|amplitude|^2`` summed into its
-    ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach."""
-    return np.bincount(graph.slot_cell, weights=np.abs(state.amplitudes) ** 2,
-                       minlength=graph.n_cells)
+    ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach.
+
+    With ``window=(lo, hi)`` only the slots of diamonds ``lo .. hi`` are summed,
+    in their full-state order, so when every other slot is zero the result is
+    bit-identical to the full sum.
+    """
+    amplitudes, slot_cell = state.amplitudes, graph.slot_cell
+    if window is not None:
+        ranges = _window_slots(graph, *window)
+        amplitudes = np.concatenate([amplitudes[r] for r in ranges])
+        slot_cell = np.concatenate([slot_cell[r] for r in ranges])
+    return np.bincount(slot_cell, weights=np.abs(amplitudes) ** 2, minlength=graph.n_cells)
 
 
 def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservables:
     """Run the walk for ``n_record`` records and collect observables.
 
     Records the initial state and then one row per diamond-to-diamond travel
-    time (``graph.spec.substeps_per_hop`` sub-steps).  Raises
+    time (``graph.spec.substeps_per_hop`` sub-steps).  Each sub-step advances
+    only the light-cone window: the diamonds holding the input's nonzero
+    amplitude, grown by one diamond on each side per sub-step, until it spans
+    the chain and the full-chain :func:`step` takes over.  The input state is
+    not modified.  Raises
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
     unobservable.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
+    _check_state(state, graph)
     substeps_per_record = graph.spec.substeps_per_hop
+
+    # The window starts at the diamonds of the cells holding amplitude, with
+    # one diamond of slack on each side.  Both buffers stay zero outside the
+    # window: a windowed step rewrites every slot of the window, and the
+    # window never shrinks.
+    last = graph.n_diamonds - 1
+    cells = graph.slot_cell[np.flatnonzero(state.amplitudes)]
+    lo, hi = 0, last
+    if cells.size:
+        lo, hi = max(2 * int(cells.min()) - 1, 0), min(2 * int(cells.max()) + 2, last)
+    window = None if (lo, hi) == (0, last) else (lo, hi)
+    state = WalkState(amplitudes=state.amplitudes.copy(), time=state.time)
+    spare = np.zeros_like(state.amplitudes)
 
     m = graph.cells.astype(float)
     n_rows = n_record + 1
     p_cell = np.empty((n_rows, graph.n_cells))
-    p_cell[0] = cell_probabilities(graph, state)
     for r in range(n_rows):
         if r > 0:
             for _ in range(substeps_per_record):
-                state = step(state, graph)
-            p_cell[r] = cell_probabilities(graph, state)
+                lo, hi = max(lo - 1, 0), min(hi + 1, last)
+                window = None if (lo, hi) == (0, last) else (lo, hi)
+                state, spare = step(state, graph, window=window, out=spare), state.amplitudes
+        p_cell[r] = cell_probabilities(graph, state, window=window)
         if p_cell[r, 0] + p_cell[r, -1] > _END_LEAK_TOL:
             raise LightConeOverflow(
                 f"end-cell probability {p_cell[r, 0] + p_cell[r, -1]:.3e} at record {r}; "

@@ -157,6 +157,34 @@ def test_audit_flags_corrupted_step_tables(internal, external):
         assert "step does not write every slot exactly once" in report.violations
 
 
+@pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
+def test_audit_flags_a_wrong_output_phase(internal, external):
+    g = build_lattice(LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
+                                  internal_length=internal, external_length=external))
+    out_phase = g.out_phase.copy()
+    out_phase[8, :] = 2.0  # not the phase of the edges vertex 8 writes, nor unimodular
+    report = audit_graph(dataclasses.replace(g, out_phase=out_phase))
+    assert "out_phase differs from the phase of the edge each port writes" in report.violations
+    edge_phase = g.edge_phase.copy()
+    edge_phase[3] = 1.5
+    report = audit_graph(dataclasses.replace(g, edge_phase=edge_phase))
+    assert "an edge phase has modulus other than 1" in report.violations
+
+
+@pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
+def test_audit_flags_a_port_reading_another_edge(internal, external):
+    g = build_lattice(LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
+                                  internal_length=internal, external_length=external))
+    # still a bijection of slots, but vertices 4 and 6 read each other's edges
+    in_slot = g.in_slot.copy()
+    in_slot[[4, 6]] = in_slot[[6, 4]]
+    report = audit_graph(dataclasses.replace(g, in_slot=in_slot))
+    assert report.violations == ("a vertex port or mirror does not read the edge it writes",)
+    mirror_src = g.mirror_src[::-1].copy()
+    report = audit_graph(dataclasses.replace(g, mirror_src=mirror_src))
+    assert report.violations == ("a vertex port or mirror does not read the edge it writes",)
+
+
 def test_diamond_index_bounds():
     g = small_graph(half_length=2)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,130 @@ def test_step_matches_operator_powers_20_steps(internal, external, seed):
         vec = op @ vec
         worst = max(worst, np.abs(state.amplitudes - vec).max())
     assert worst <= 1e-12
+
+
+def test_state_from_another_graph_is_rejected():
+    small, large = graph_for(5), graph_for(6)
+    state = initial_state(large, 0, "a", "right")
+    with pytest.raises(ValueError, match="another graph"):
+        evolve(state, small, 3)
+    with pytest.raises(ValueError, match="another graph"):
+        step(state, small)
+
+
+def plain_records(state, graph, n_record):
+    """The full-chain walk: ``cell_probabilities`` after every
+    ``substeps_per_hop`` plain ``step`` calls, up to record ``n_record`` or the
+    first record whose end cells hold over 1e-9; returns the rows and the
+    overflow message (None if there was none)."""
+    rows = [cell_probabilities(graph, state)]
+    while True:
+        leak = rows[-1][0] + rows[-1][-1]
+        if leak > 1e-9:
+            return np.array(rows), f"end-cell probability {leak:.3e} at record {len(rows) - 1};"
+        if len(rows) > n_record:
+            return np.array(rows), None
+        for _ in range(graph.spec.substeps_per_hop):
+            state = step(state, graph)
+        rows.append(cell_probabilities(graph, state))
+
+
+def window_mask(spec, lo, hi):
+    """Slots of diamonds lo..hi: their internal edges and external edges lo..hi+1."""
+    mask = np.zeros(slots(spec, directed(external_edge(spec, 2 * spec.n_cells), 1)).stop, bool)
+    mask[slots(spec, directed(2 * lo, 0)).start : slots(spec, directed(2 * hi + 1, 1)).stop] = True
+    mask[slots(spec, directed(external_edge(spec, lo), 0)).start
+         : slots(spec, directed(external_edge(spec, hi + 1), 1)).stop] = True
+    return mask
+
+
+def assert_evolve_matches_plain(state, graph, n_record):
+    """``evolve`` gives the plain walk's rows bit for bit, or raises its
+    overflow at the same record with the same message."""
+    before = state.amplitudes.copy()
+    rows, overflow = plain_records(state, graph, n_record)
+    if overflow is not None:
+        with pytest.raises(LightConeOverflow, match=re.escape(overflow)):
+            evolve(state, graph, n_record)
+        rows = rows[:-1]
+    if len(rows):
+        p_cell = evolve(state, graph, len(rows) - 1).p_cell
+        assert np.array_equal(p_cell.view(np.int64), rows.view(np.int64))
+    assert np.array_equal(state.amplitudes, before)
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_windowed_evolve_matches_plain_walk_on_random_chains(internal, external):
+    rng = np.random.default_rng(internal * 10 + external)
+    for _ in range(4):
+        half = int(rng.integers(3, 25))
+        profile = PhaseProfile.two_region(tuple(rng.uniform(0, 2 * np.pi, 2)),
+                                          tuple(rng.uniform(0, 2 * np.pi, 2)), half,
+                                          boundary=int(rng.integers(-half, half)))
+        g = graph_for(half, profile, internal, external)
+        state = initial_state(g, int(rng.integers(1 - half, half)), str(rng.choice(["a", "b"])),
+                              str(rng.choice(["left", "right"])))
+        assert_evolve_matches_plain(state, g, int(rng.integers(1, 2 * half + 8)))
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_windowed_walk_matches_plain_walk_next_to_the_chain_ends(internal, external):
+    # the window reaches a chain end on the first sub-step, so the mirrors run
+    half = 12
+    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
+                  internal, external)
+    last = g.n_diamonds - 1
+    for cell, direction in ((1 - half, "left"), (half - 1, "right")):
+        for subsite in ("a", "b"):
+            state = initial_state(g, cell, subsite, direction)
+            assert_evolve_matches_plain(state, g, 40)
+            # Step by step through a reflection at the mirror.  A windowed
+            # step writes every slot of its window and reads no other slot,
+            # so NaN outside the window stays there and never leaks in.
+            n_substeps = 5 * g.spec.substeps_per_hop
+            d = g.diamond_index(cell, subsite)
+            window = ((0, d + n_substeps + 2) if direction == "left"
+                      else (d - n_substeps - 2, last))
+            inside = window_mask(g.spec, *window)
+            mirrored = g.mirror_dst[0 if direction == "left" else 1]
+            plain = windowed = state
+            reflected = False
+            for _ in range(n_substeps):
+                plain = step(plain, g)
+                out = np.full(g.dim, np.nan, dtype=complex)
+                windowed = step(windowed, g, window=window, out=out)
+                assert windowed.amplitudes is out
+                assert np.array_equal(out[inside], plain.amplitudes[inside])
+                assert np.isnan(out[~inside]).all() and not plain.amplitudes[~inside].any()
+                reflected |= plain.amplitudes[mirrored] != 0
+            assert reflected
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_windowed_evolve_matches_plain_walk_from_full_support(internal, external):
+    # every slot is nonzero, so the window is the whole chain from the start;
+    # a Gaussian envelope keeps the end cells under the overflow threshold
+    half = 30
+    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
+                  internal, external)
+    rng = np.random.default_rng(2017)
+    envelope = np.exp(-0.5 * ((g.slot_cell - half) / 4.0) ** 2)
+    amplitudes = (rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)) * envelope
+    state = WalkState(amplitudes=amplitudes / np.linalg.norm(amplitudes))
+    assert np.all(state.amplitudes != 0)
+    assert_evolve_matches_plain(state, g, 12)
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_windowed_evolve_starts_from_the_state_support(internal, external):
+    # one nonzero slot inside an internal edge, which no initial_state gives
+    half = 15
+    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
+                  internal, external)
+    bottom_backward = directed(2 * g.diamond_index(3, "b") + 1, 1)
+    amplitudes = np.zeros(g.dim, dtype=complex)
+    amplitudes[slots(g.spec, bottom_backward).start + internal // 2] = 1.0
+    assert_evolve_matches_plain(WalkState(amplitudes=amplitudes), g, 40)
 
 
 def test_evolve_record_zero_only():
