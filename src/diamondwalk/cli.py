@@ -187,8 +187,7 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
         return summary
 
     if figure == "fig5":
-        per_record = LatticeSpec.internal_length + LatticeSpec.external_length
-        half = walk_mod.auto_half_length(steps, per_record, 2 * per_record)
+        half = walk_mod.auto_half_length(steps)
         boundary_spec = LatticeSpec(
             half_length=half,
             profile=PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half, boundary=0),

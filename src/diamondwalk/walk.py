@@ -10,11 +10,11 @@ edge they enter), and amplitudes reaching a chain-end mirror reverse with
 phase -1.  Every ingredient is unitary, so the norm is conserved to rounding.
 
 The step is strictly local: amplitude crosses at most one vertex per
-sub-step.  :func:`evolve` therefore advances and measures only a window of
-diamonds that holds all the nonzero amplitude, grown by one diamond on each
-side before every sub-step; once the window spans the chain it falls back to
-the plain full-chain :func:`step`.  Slots outside the window are exactly zero,
-so the windowed probabilities are bit-identical to the full-chain ones.
+sub-step.  So a sub-step acts on a window of diamonds, and the whole chain is
+the window ``(0, n_diamonds - 1)``.  :func:`evolve` advances and measures only
+a window that holds all the nonzero amplitude, grown by one diamond on each
+side before every sub-step.  Slots outside the window are exactly zero, so the
+windowed probabilities are bit-identical to the full-chain ones.
 
 Observables are recorded stroboscopically: the natural recording cadence is
 one record per diamond-to-diamond travel time (``internal_length +
@@ -24,7 +24,7 @@ cell-resolved probability plots.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +51,9 @@ class LightConeOverflow(RuntimeError):
 
 @dataclass
 class WalkState:
-    """Amplitudes over all slots of a lattice graph at integer sub-step time."""
+    """Amplitudes over all slots of a lattice graph."""
 
     amplitudes: np.ndarray
-    time: int = 0
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
@@ -77,10 +76,10 @@ class WalkObservables:
     p_boundary: np.ndarray
 
 
-def auto_half_length(n_record: int, substeps_per_record: int, substeps_per_cell: int) -> int:
-    """Half length that keeps the light cone (<= 1 sub-step per step) inside,
-    with two cells to spare."""
-    return math.ceil(n_record * substeps_per_record / substeps_per_cell) + 2
+def auto_half_length(n_record: int) -> int:
+    """Half length that keeps ``n_record`` records' light cone (a diamond per
+    record, two per cell) inside, with two cells to spare."""
+    return (n_record + 1) // 2 + 2
 
 
 def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) -> WalkState:
@@ -97,7 +96,7 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
     d = graph.diamond_index(cell, subsite)  # validates cell and subsite
     amplitudes = np.zeros(graph.dim, dtype=complex)
     amplitudes[graph.in_slot[2 * d + (direction == "left"), 0]] = 1.0
-    return WalkState(amplitudes=amplitudes, time=0)
+    return WalkState(amplitudes=amplitudes)
 
 
 def _check_state(state: WalkState, graph: LatticeGraph) -> None:
@@ -106,49 +105,50 @@ def _check_state(state: WalkState, graph: LatticeGraph) -> None:
                          f"{graph.dim} slots: it was built on another graph")
 
 
-def _window_slots(graph: LatticeGraph, lo: int, hi: int) -> tuple[slice, slice]:
-    """Slots of diamonds ``lo .. hi``: their internal edges, then the external
-    edges ``lo .. hi + 1``, each a contiguous range in the documented layout."""
+def _window_slots(graph: LatticeGraph,
+                  window: tuple[int, int] | None) -> tuple[int, int, slice, slice]:
+    """``(lo, hi)`` of the window (the whole chain when None), then the slots of
+    diamonds ``lo .. hi``: their internal edges, then the external edges
+    ``lo .. hi + 1``, each a contiguous range in the documented layout.
+    Raises :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
+    last = graph.n_diamonds - 1
+    lo, hi = (0, last) if window is None else map(operator.index, window)
+    if not 0 <= lo <= hi <= last:
+        raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
     internal, external = graph.spec.internal_length, graph.spec.external_length
     external_base = 4 * graph.n_diamonds * internal
-    return (slice(4 * lo * internal, 4 * (hi + 1) * internal),
+    return (lo, hi, slice(4 * lo * internal, 4 * (hi + 1) * internal),
             slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
 
 
 def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | None = None,
          out: np.ndarray | None = None) -> WalkState:
-    """Advance one sub-step into ``out`` (a new array when None; never the
-    input's own array); the input is not modified.
+    """Advance diamonds ``window=(lo, hi)`` (the whole chain when None) one
+    sub-step into ``out`` (a new zeroed array when None; never the input's own
+    array); the input is not modified.
 
-    The vertex and mirror writes cover every slot the shift does not
-    (:func:`~diamondwalk.lattice.audit_graph` checks this), so no slot of the
-    result is left unwritten.  With ``window=(lo, hi)`` only the slots of
-    diamonds ``lo .. hi`` (see :func:`_window_slots`) are read and written,
-    and the slots of ``out`` outside them are left as they are.  This is exact
+    Only the window's slots (see :func:`_window_slots`) are read and written,
+    and the vertex and mirror writes cover every one the shift does not
+    (:func:`~diamondwalk.lattice.audit_graph` checks this).  This is exact
     when ``state`` is zero outside the slots of diamonds ``lo + 1 .. hi - 1``;
     where the window reaches a chain end, that end needs no such margin.
     """
     _check_state(state, graph)
+    lo, hi, internal, external = _window_slots(graph, window)
     old = state.amplitudes
-    new = np.empty_like(old) if out is None else out
-    if window is None:
-        new[1:] = old[:-1]
-        rows, ends = slice(None), slice(None)
-    else:
-        lo, hi = window
-        internal, external = _window_slots(graph, lo, hi)
-        new[internal.start + 1 : internal.stop] = old[internal.start : internal.stop - 1]
-        new[external.start + 1 : external.stop] = old[external.start : external.stop - 1]
-        # the forward start of external edge lo is written by vertex 2 lo - 1,
-        # outside the window, which reads only zeros (or by the left mirror)
-        new[external.start] = 0
-        rows = slice(2 * lo, 2 * hi + 2)
-        ends = np.array([lo == 0, hi == graph.n_diamonds - 1])  # mirrors the window reaches
+    new = np.zeros_like(old) if out is None else out
+    new[internal.start + 1 : internal.stop] = old[internal.start : internal.stop - 1]
+    new[external.start + 1 : external.stop] = old[external.start : external.stop - 1]
+    # the forward start of external edge lo is written by vertex 2 lo - 1,
+    # outside the window, which reads only zeros (or by the left mirror)
+    new[external.start] = 0
+    rows = slice(2 * lo, 2 * hi + 2)
+    ends = slice(lo != 0, 1 + (hi == graph.n_diamonds - 1))  # mirrors the window reaches
     incoming = old[graph.in_slot[rows]]                # (n_vertices, 3)
     outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
     new[graph.out_slot[rows]] = outgoing * graph.out_phase[rows]
     new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]
-    return WalkState(amplitudes=new, time=state.time + 1)
+    return WalkState(amplitudes=new)
 
 
 def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
@@ -156,16 +156,18 @@ def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
     """Probability per cell: each slot's ``|amplitude|^2`` summed into its
     ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach.
 
-    With ``window=(lo, hi)`` only the slots of diamonds ``lo .. hi`` are summed,
-    in their full-state order, so when every other slot is zero the result is
+    Only the slots of ``window`` (see :func:`_window_slots`) are summed, in
+    their full-state order, so when every other slot is zero the result is
     bit-identical to the full sum.
     """
+    _, _, internal, external = _window_slots(graph, window)
     amplitudes, slot_cell = state.amplitudes, graph.slot_cell
-    if window is not None:
-        ranges = _window_slots(graph, *window)
-        amplitudes = np.concatenate([amplitudes[r] for r in ranges])
-        slot_cell = np.concatenate([slot_cell[r] for r in ranges])
-    return np.bincount(slot_cell, weights=np.abs(amplitudes) ** 2, minlength=graph.n_cells)
+    p = np.bincount(slot_cell[internal], weights=np.abs(amplitudes[internal]) ** 2,
+                    minlength=graph.n_cells)
+    # the external slots follow the internal ones in the full state: add.at adds
+    # them one at a time in that order, as one bincount over both would
+    np.add.at(p, slot_cell[external], np.abs(amplitudes[external]) ** 2)
+    return p
 
 
 def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservables:
@@ -174,9 +176,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     Records the initial state and then one row per diamond-to-diamond travel
     time (``graph.spec.substeps_per_hop`` sub-steps).  Each sub-step advances
     only the light-cone window: the diamonds holding the input's nonzero
-    amplitude, grown by one diamond on each side per sub-step, until it spans
-    the chain and the full-chain :func:`step` takes over.  The input state is
-    not modified.  Raises
+    amplitude, grown by one diamond on each side per sub-step up to the whole
+    chain.  The input state is not modified.  Raises
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
     unobservable.
@@ -195,8 +196,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     lo, hi = 0, last
     if cells.size:
         lo, hi = max(2 * int(cells.min()) - 1, 0), min(2 * int(cells.max()) + 2, last)
-    window = None if (lo, hi) == (0, last) else (lo, hi)
-    state = WalkState(amplitudes=state.amplitudes.copy(), time=state.time)
+    state = WalkState(amplitudes=state.amplitudes.copy())
     spare = np.zeros_like(state.amplitudes)
 
     m = graph.cells.astype(float)
@@ -206,9 +206,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
         if r > 0:
             for _ in range(substeps_per_record):
                 lo, hi = max(lo - 1, 0), min(hi + 1, last)
-                window = None if (lo, hi) == (0, last) else (lo, hi)
-                state, spare = step(state, graph, window=window, out=spare), state.amplitudes
-        p_cell[r] = cell_probabilities(graph, state, window=window)
+                state, spare = step(state, graph, window=(lo, hi), out=spare), state.amplitudes
+        p_cell[r] = cell_probabilities(graph, state, window=(lo, hi))
         if p_cell[r, 0] + p_cell[r, -1] > _END_LEAK_TOL:
             raise LightConeOverflow(
                 f"end-cell probability {p_cell[r, 0] + p_cell[r, -1]:.3e} at record {r}; "

@@ -1,5 +1,6 @@
-"""Independent oracle for the walk: slot addressing from the spec, and the
-one-sub-step operator assembled entry by entry.
+"""Independent oracles for the walk: slot addressing from the spec, the
+one-sub-step operator assembled entry by entry, and the plain full-chain
+sub-step.
 
 The addressing helpers restate the documented layout of
 :mod:`diamondwalk.lattice` from :class:`~diamondwalk.lattice.LatticeSpec`
@@ -33,6 +34,17 @@ def slots(spec, directed_edge: int) -> slice:
                 + (directed_edge - n_internal_directed) * spec.external_length)
         length = spec.external_length
     return slice(base, base + length)
+
+
+def plain_step(amplitudes: np.ndarray, graph) -> np.ndarray:
+    """One sub-step of the whole chain with no window: shift every slot by
+    one, then the vertex scatter and the mirrors overwrite the first slot of
+    every edge."""
+    new = np.empty_like(amplitudes)
+    new[1:] = amplitudes[:-1]
+    new[graph.out_slot] = (amplitudes[graph.in_slot] @ graph.vertex_matrix.T) * graph.out_phase
+    new[graph.mirror_dst] = -amplitudes[graph.mirror_src]
+    return new
 
 
 def assemble_step_operator(graph) -> sp.csr_matrix:

@@ -44,7 +44,7 @@ from step_oracle import assemble_step_operator
 # moving right.
 FIG5_LEFT = (1.5, 2.5)
 FIG5_RIGHT = (3 * math.pi / 4, 0.0)
-FIG5_HALF = auto_half_length(200, 3, 6)
+FIG5_HALF = auto_half_length(200)
 LATE = slice(150, 201)
 MID = slice(50, 101)
 
