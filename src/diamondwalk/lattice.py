@@ -1,4 +1,4 @@
-"""Construction of the diamond-chain lattice as an explicit directed graph.
+"""Construction of the diamond-chain lattice and its slot layout.
 
 The chain realises an SSH-like lattice: each cell ``m`` holds two subsites
 ``a`` and ``b``, each subsite is one diamond graph (two three-port vertices
@@ -14,20 +14,26 @@ Indexing is fully deterministic:
 
 * diamonds: ``d = 2*(m + M) + s`` with subsite ``s`` = 0 for a, 1 for b;
 * vertices: diamond d owns left vertex ``2d`` and right vertex ``2d + 1``;
-* undirected edges: the two internal edges of each diamond first (top edge
-  ``2d`` plain, bottom edge ``2d+1`` carrying ``exp(i phi)``), then the
-  external edges left-to-right (index 0 is the left mirror stub, index 2N the
-  right one);
-* directed edges: ``2*edge + direction`` with direction 0 = left-to-right
-  (right-moving) and 1 = right-to-left;
-* amplitude slots: each directed edge of length L owns L consecutive slots in
-  travel order, one per sub-step, and the directed edges follow each other in
-  index order, so slot bases are the cumulative sum of the lengths.
+* edges: diamond d has a plain top and a bottom internal edge, the bottom one
+  carrying ``exp(i phi_d)``; external edge ``j`` (``0 .. n_d``) runs from
+  diamond ``j - 1`` to diamond ``j``, so edges 0 and ``n_d`` are the
+  mirror-terminated end stubs;
+* amplitude slots: an edge of length L holds L slots in each direction, in
+  travel order, one per sub-step.  The ``dim`` slots of a state are two
+  reshaped views, internal slots first:
 
-This layout is a contract, not an implementation detail: the walk's free
-propagation is a shift by one slot, and the tests' addressing helpers
-(``tests/step_oracle.py``) derive every slot range from the spec and this
-layout alone.
+  - ``state[:n_int].reshape(n_d, 2, 2, L_int)``, indexed by diamond,
+    top/bottom, direction and position;
+  - ``state[n_int:].reshape(n_d + 1, 2, L_ext)``, indexed by external edge,
+    direction and position;
+
+  with direction 0 left-to-right (right-moving) and 1 right-to-left, and
+  ``n_int = 4 * n_d * L_int``.
+
+This layout is the one wiring model, not an implementation detail: the walk's
+free propagation is a shift by one slot, :func:`build_lattice` reads every
+step table off these views of ``np.arange(dim)``, and the tests' oracle
+(``tests/step_oracle.py``) restates the wiring from the spec alone.
 
 Ports follow the (A, B, C) -> (0, 1, 2) convention: port A faces the external
 edge, ports B and C the top and bottom internal edges.
@@ -36,6 +42,7 @@ edge, ports B and C the top and bottom internal edges.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +61,6 @@ __all__ = [
 ]
 
 SUBSITES = ("a", "b")
-
-# edge kind codes
-KIND_INTERNAL_TOP = 0
-KIND_INTERNAL_BOTTOM = 1
-KIND_EXTERNAL = 2
 
 
 @dataclass(frozen=True)
@@ -162,12 +164,16 @@ class LatticeSpec:
 
 @dataclass
 class LatticeGraph:
-    """The built chain and the index tables the walk and the audit read.
+    """The built chain and the read-only tables the walk and the audit read.
 
-    Every table is one diamond's fixed wiring tiled along the chain (see
-    :func:`build_lattice`).  Immutable by convention after
-    :func:`build_lattice`; safe to share read-only between concurrent
-    evolutions.
+    Every table is read off the slot layout of the module docstring: a state
+    is ``state[:n_int].reshape(n_diamonds, 2, 2, L_int)`` (diamond,
+    top/bottom, direction, position) followed by
+    ``state[n_int:].reshape(n_diamonds + 1, 2, L_ext)`` (external edge,
+    direction, position).  Vertices and mirrors read the last slot of an edge
+    and write the first slot of the same edge traversed the other way; the
+    walk shifts every other slot by one.  Every array is read-only, so a graph
+    is safe to share between concurrent evolutions.
     """
 
     spec: LatticeSpec
@@ -175,21 +181,12 @@ class LatticeGraph:
     n_diamonds: int
     n_vertices: int
     vertex_matrix: np.ndarray  # shared 3x3 unitary (theta is global)
-
-    # undirected edge tables
-    edge_phase: np.ndarray
-    edge_kind: np.ndarray
-    edge_vertex: np.ndarray  # (n_edges, 2) left/right endpoint vertex, -1 = mirror
-
-    # step tables: vertices and mirrors read the last slot of a directed edge
-    # and write the first; the walk shifts every other slot by one
     dim: int
-    leaving: np.ndarray  # (n_vertices, 3) directed edge leaving via port
-    in_slot: np.ndarray  # (n_vertices, 3) final slot of the arriving edge (leaving ^ 1)
-    out_slot: np.ndarray  # (n_vertices, 3) first slot of the leaving edge
+    in_slot: np.ndarray  # (n_vertices, 3) last slot of the edge arriving at each port
+    out_slot: np.ndarray  # (n_vertices, 3) first slot of the edge leaving each port
     out_phase: np.ndarray  # (n_vertices, 3) phase applied on entering the leaving edge
-    mirror_src: np.ndarray
-    mirror_dst: np.ndarray
+    mirror_src: np.ndarray  # (2,) last slots running into the left and right mirror
+    mirror_dst: np.ndarray  # (2,) first slots they reflect into
 
     # (dim,) cell position (m + M) each slot's probability counts toward: gap
     # amplitudes count toward the diamond they are moving toward
@@ -211,60 +208,73 @@ class LatticeGraph:
         return 2 * (cell + self.half_length) + SUBSITES.index(subsite)
 
 
+def _n_slots(spec: LatticeSpec) -> int:
+    n_diamonds = 2 * spec.n_cells
+    return 4 * n_diamonds * spec.internal_length + 2 * (n_diamonds + 1) * spec.external_length
+
+
+def _slot_views(slots: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The internal view ``[diamond, top/bottom, direction, position]`` and the
+    external view ``[edge, direction, position]`` of a per-slot array."""
+    n_diamonds = 2 * spec.n_cells
+    n_internal = 4 * n_diamonds * spec.internal_length
+    return (slots[:n_internal].reshape(n_diamonds, 2, 2, spec.internal_length),
+            slots[n_internal:].reshape(n_diamonds + 1, 2, spec.external_length))
+
+
+def _window_slots(graph: LatticeGraph,
+                  window: tuple[int, int] | None) -> tuple[int, int, slice, slice]:
+    """``(lo, hi)`` of the window (the whole chain when None), then the slots of
+    diamonds ``lo .. hi``: rows ``lo .. hi`` of the internal view, then rows
+    ``lo .. hi + 1`` (the external edges around them) of the external view,
+    each a contiguous range of the state.
+    Raises :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
+    last = graph.n_diamonds - 1
+    lo, hi = (0, last) if window is None else map(operator.index, window)
+    if not 0 <= lo <= hi <= last:
+        raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
+    internal, external = graph.spec.internal_length, graph.spec.external_length
+    external_base = 4 * graph.n_diamonds * internal
+    return (lo, hi, slice(4 * lo * internal, 4 * (hi + 1) * internal),
+            slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
+
+
+def _diamond_phases(spec: LatticeSpec) -> np.ndarray:
+    """``exp(i phi_d)``, the phase of each diamond's bottom edge, in diamond order."""
+    return np.exp(1j * np.column_stack(spec.profile.phases(spec.half_length)).ravel())
+
+
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     """Materialise the chain described by ``spec``.
 
-    Every diamond is wired the same way, so each table is one diamond's wiring
-    shifted by the diamond index: index arithmetic on ``np.arange``, with no
-    per-element loop.  Rejects profiles that do not cover all cells.
-    Rebuilding from an equal spec yields identical arrays.
+    Every diamond is wired the same way, so each table is a slice of the slot
+    layout's views of ``np.arange(dim)``, with no per-element loop.  Rejects
+    profiles that do not cover all cells.  Rebuilding from an equal spec yields
+    identical arrays.
     """
-    m_half = spec.half_length
     n_cells = spec.n_cells
     n_diamonds = 2 * n_cells
-    n_vertices = 2 * n_diamonds
-    n_internal = 2 * n_diamonds
-    n_external = n_diamonds + 1
-    n_edges = n_internal + n_external
-    diamond_phi = np.column_stack(spec.profile.phases(m_half)).ravel()  # a_m, b_m per cell
+    dim = _n_slots(spec)
+    internal, external = _slot_views(np.arange(dim), spec)
 
-    # Internal edges 2d (top) and 2d+1 (bottom, phase-shifted) join vertices
-    # 2d and 2d+1; external edge j joins vertex 2j-1 to vertex 2j, with
-    # mirrors (-1) beyond the chain ends.
-    edge_length = np.repeat([spec.internal_length, spec.external_length], [n_internal, n_external])
-    edge_kind = np.full(n_edges, KIND_EXTERNAL)
-    edge_kind[:n_internal] = np.tile([KIND_INTERNAL_TOP, KIND_INTERNAL_BOTTOM], n_diamonds)
-    edge_phase = np.ones(n_edges, dtype=complex)
-    edge_phase[1:n_internal:2] = np.exp(1j * diamond_phi)
-    edge_vertex = np.concatenate((
-        np.arange(n_vertices).reshape(n_diamonds, 2).repeat(2, axis=0),
-        np.arange(-1, n_vertices + 1).reshape(n_external, 2),
-    ))
-    edge_vertex[-1, 1] = -1
+    # Tables indexed [diamond, side, port], vertex 2d + side.  Port A sits on
+    # external edge d + side, ports B, C on diamond d's top and bottom edges.
+    # A left vertex (side 0) writes forward into its diamond and backward out
+    # of it, a right vertex the reverse; each port reads the last slot of the
+    # edge it writes, traversed the other way.
+    in_slot = np.empty((n_diamonds, 2, 3), dtype=int)
+    out_slot = np.empty_like(in_slot)
+    in_slot[:, 0, 0], in_slot[:, 1, 0] = external[:-1, 0, -1], external[1:, 1, -1]
+    out_slot[:, 0, 0], out_slot[:, 1, 0] = external[:-1, 1, 0], external[1:, 0, 0]
+    in_slot[:, :, 1:] = internal[:, :, ::-1, -1].transpose(0, 2, 1)
+    out_slot[:, :, 1:] = internal[:, :, :, 0].transpose(0, 2, 1)
+    out_phase = np.ones((n_diamonds, 2, 3), dtype=complex)
+    out_phase[:, :, 2] = _diamond_phases(spec)[:, None]
 
-    # Vertex 2d + side takes port A from external edge d + side and ports B, C
-    # from internal edges 2d, 2d + 1.  A left vertex (side 0) sends forward
-    # into its diamond and backward out of it; a right vertex the reverse.
-    d = np.arange(n_diamonds)[:, None, None]
-    side = np.arange(2)[:, None]
-    on_external = np.arange(3) == 0
-    edge = np.where(on_external, n_internal + d + side, 2 * d + np.arange(3) - 1)
-    leaving = (2 * edge + (side ^ on_external)).reshape(n_vertices, 3)
-
-    # directed edges and slots; a port receives from the edge it sends on,
-    # traversed the other way (directed edge ``leaving ^ 1``)
-    dir_length = np.repeat(edge_length, 2)
-    slot_base = np.cumsum(dir_length) - dir_length
-    slot_last = slot_base + dir_length - 1
-    dim = int(dir_length.sum())
-    in_slot = slot_last[leaving ^ 1]
-    out_slot = slot_base[leaving]
-    out_phase = edge_phase[leaving // 2]
-
-    # mirror terminations: the backward end of the left stub, then the forward
+    # mirror terminations: the backward end of the left stub and the forward
     # end of the right stub, each reflected into the opposite direction
-    mirror_src = slot_last[[2 * n_internal + 1, 2 * n_edges - 2]]
-    mirror_dst = slot_base[[2 * n_internal, 2 * n_edges - 1]]
+    mirror_src = external[[0, -1], [1, 0], -1]
+    mirror_dst = external[[0, -1], [0, 1], 0]
 
     # Cell attribution of probability for observables.  Amplitude inside a
     # diamond belongs to that diamond's cell.  Amplitude travelling in a gap
@@ -272,34 +282,29 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     # (left-movers to the left neighbour, right-movers to the right); this is
     # the only single-valued rule that both puts an injected photon wholly in
     # its target subsite's cell and keeps P(m, t) exactly mirror symmetric.
-    # So a directed edge counts toward the cell of the vertex it runs into, or
-    # at a mirror stub of the vertex it left; vertex v sits in cell v // 4.
-    head = edge_vertex[:, ::-1].ravel()
-    tail = edge_vertex.ravel()
-    slot_cell = np.repeat(np.where(head >= 0, head, tail) // 4, dir_length)
+    # At a mirror stub the amplitude counts toward the end diamond.
+    slot_cell = np.empty(dim, dtype=int)
+    internal_cell, external_cell = _slot_views(slot_cell, spec)
+    edge = np.arange(n_diamonds + 1)
+    internal_cell[...] = (edge[:-1] // 2)[:, None, None, None]
+    external_cell[:, 0] = (np.minimum(edge, n_diamonds - 1) // 2)[:, None]
+    external_cell[:, 1] = (np.maximum(edge - 1, 0) // 2)[:, None]
 
-    for arr in (edge_phase, edge_kind, edge_vertex, leaving, in_slot, out_slot, out_phase,
-                mirror_src, mirror_dst, slot_cell):
+    tables = dict(in_slot=in_slot.reshape(-1, 3), out_slot=out_slot.reshape(-1, 3),
+                  out_phase=out_phase.reshape(-1, 3), mirror_src=mirror_src,
+                  mirror_dst=mirror_dst, slot_cell=slot_cell,
+                  cells=np.arange(-spec.half_length, spec.half_length + 1))
+    for arr in tables.values():
         arr.setflags(write=False)
 
     return LatticeGraph(
         spec=spec,
         n_cells=n_cells,
         n_diamonds=n_diamonds,
-        n_vertices=n_vertices,
+        n_vertices=2 * n_diamonds,
         vertex_matrix=vertex_unitary(spec.theta),
-        edge_phase=edge_phase,
-        edge_kind=edge_kind,
-        edge_vertex=edge_vertex,
         dim=dim,
-        leaving=leaving,
-        in_slot=in_slot,
-        out_slot=out_slot,
-        out_phase=out_phase,
-        mirror_src=mirror_src,
-        mirror_dst=mirror_dst,
-        slot_cell=slot_cell,
-        cells=np.arange(-m_half, m_half + 1),
+        **tables,
     )
 
 
@@ -322,28 +327,18 @@ def _multiplicity(table: np.ndarray, size: int) -> np.ndarray | None:
 
 
 def audit_graph(graph: LatticeGraph) -> AuditReport:
-    """Structural audit: degrees, edge partition, step tables, chain linearity, counts.
+    """Structural audit of the step tables against the spec's slot layout.
 
-    Returns counts and a list of violations; an intact graph reports none.
+    Checks that one sub-step is a bijection of slots, that every vertex port
+    and mirror is local, that the output phases are the spec's diamond phases
+    and that every slot counts toward a cell.  Returns the spec's counts and a
+    list of violations; an intact graph reports none.
     """
     violations: list[str] = []
-    n_directed = 2 * graph.edge_kind.size
-
-    # every vertex has its three ports wired to distinct directed edges, and
-    # the directed edges not leaving a vertex are exactly those leaving a
-    # mirror; directed edge 2e + direction has its tail at edge_vertex[e, direction]
-    if graph.leaving.shape != (graph.n_vertices, 3):
-        violations.append("leaving table has wrong shape")
-    if np.any(graph.leaving < 0):
-        violations.append(f"unwired vertex ports at {np.argwhere(graph.leaving < 0).tolist()[:5]}")
-    tails = _multiplicity(graph.leaving, n_directed)
-    if tails is not None and tails.max() > 1:
-        violations.append("a directed edge leaves more than one (vertex, port)")
-    if tails is None or not np.array_equal(tails > 0, graph.edge_vertex.ravel() >= 0):
-        violations.append("directed-edge tails do not partition between vertices and mirrors")
-    n_mirrors = int(np.sum(graph.edge_vertex < 0))
-    if n_mirrors != 2:
-        violations.append(f"expected 2 mirror terminations, found {n_mirrors}")
+    spec = graph.spec
+    n_diamonds = 2 * spec.n_cells
+    if graph.dim != _n_slots(spec):
+        violations.append(f"{graph.dim} slots, but the spec's layout has {_n_slots(spec)}")
 
     # the sub-step is a bijection of slots: vertices and mirrors read distinct
     # edge ends and write distinct edge starts, the last slot is an end, and
@@ -362,59 +357,47 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
             violations.append("step does not write every slot exactly once")
 
     # locality: a vertex port or mirror reads the last slot of the edge it
-    # writes, traversed the other way, so amplitude crosses one vertex per
-    # sub-step (the walk's light-cone window relies on this); and every vertex
-    # output picks up the phase of the edge it enters, a pure phase
-    if tails is not None and n_mirrors == 2:
-        length = np.where(graph.edge_kind == KIND_EXTERNAL,
-                          graph.spec.external_length, graph.spec.internal_length)
-        mirror_tailed = np.flatnonzero(graph.edge_vertex.ravel() < 0)
-        last = np.full(n_directed, -1)
-        last[graph.leaving] = graph.out_slot
-        last[mirror_tailed] = graph.mirror_dst
-        last += np.repeat(length, 2) - 1
-        if not (np.array_equal(graph.in_slot, last[graph.leaving ^ 1])
-                and np.array_equal(graph.mirror_src, last[mirror_tailed ^ 1])):
+    # writes, traversed the other way, and writes within its own diamond's
+    # window (its internal edges and the external edges on either side), so
+    # amplitude crosses one vertex per sub-step, as the walk's light-cone
+    # window relies on.  Checked once the slots are a bijection.
+    if not violations and graph.out_slot.size == 6 * n_diamonds:
+        reverse_end = np.full(graph.dim, -1)  # at each edge's first slot
+        lowest = np.empty(graph.dim, dtype=int)  # lowest diamond whose window holds a slot
+        internal, external = _slot_views(np.arange(graph.dim), spec)
+        reverse_internal, reverse_external = _slot_views(reverse_end, spec)
+        reverse_internal[..., 0] = internal[:, :, ::-1, -1]
+        reverse_external[..., 0] = external[:, ::-1, -1]
+        lowest_internal, lowest_external = _slot_views(lowest, spec)
+        lowest_internal[...] = np.arange(n_diamonds)[:, None, None, None]
+        lowest_external[...] = np.arange(-1, n_diamonds)[:, None, None]
+        if not (np.array_equal(graph.in_slot, reverse_end[graph.out_slot])
+                and np.array_equal(graph.mirror_src, reverse_end[graph.mirror_dst])):
             violations.append("a vertex port or mirror does not read the edge it writes")
-        if not np.array_equal(graph.out_phase, graph.edge_phase[graph.leaving >> 1]):
-            violations.append("out_phase differs from the phase of the edge each port writes")
-    if np.any(np.abs(np.abs(graph.edge_phase) - 1.0) > 1e-12):
-        violations.append("an edge phase has modulus other than 1")
+        writes = np.concatenate((graph.out_slot.ravel(), graph.mirror_dst))
+        owner = np.concatenate((np.arange(n_diamonds).repeat(6), [0, n_diamonds - 1]))
+        offset = owner - lowest[writes]
+        if np.any((offset < 0) | (offset > (writes >= internal.size))):
+            violations.append("a vertex port or mirror writes outside its diamond's window")
+
+    # every vertex output picks up the phase of the edge it enters: 1 on ports
+    # A and B, the diamond's exp(i phi_d) on port C
+    expected_phase = np.ones((2 * n_diamonds, 3), dtype=complex)
+    expected_phase[:, 2] = _diamond_phases(spec).repeat(2)
+    if not np.array_equal(graph.out_phase, expected_phase):
+        violations.append("out_phase differs from the phase of the edge each port writes")
 
     # every slot's probability is attributed to a cell of the chain
     if np.any((graph.slot_cell < 0) | (graph.slot_cell >= graph.n_cells)):
         violations.append("slot owner cell out of range")
 
-    # chain linearity: external edge j joins vertex 2j - 1 to vertex 2j, left
-    # to right, with mirrors beyond both ends
-    external = np.flatnonzero(graph.edge_kind == KIND_EXTERNAL)
-    rank = np.arange(external.size)
-    expect = np.stack((2 * rank - 1, 2 * rank), axis=1)
-    expect[-1:, 1] = -1
-    wired = graph.edge_vertex[external]
-    miswired = np.flatnonzero(np.any(wired != expect, axis=1))
-    if miswired.size:
-        lv, rv = wired[miswired[0]]
-        violations.append(f"external edge {miswired[0]} wired to ({lv}, {rv})")
-
-    expected_vertices = 4 * graph.n_cells  # four three-ports per cell
-    expected_internal = 2 * graph.n_diamonds
     counts = {
-        "cells": graph.n_cells,
-        "diamonds": graph.n_diamonds,
-        "vertices": graph.n_vertices,
-        "internal_edges": int(np.sum(graph.edge_kind != KIND_EXTERNAL)),
-        "external_edges": int(np.sum(graph.edge_kind == KIND_EXTERNAL)),
-        "directed_edges": n_directed,
+        "cells": spec.n_cells,
+        "diamonds": n_diamonds,
+        "vertices": 2 * n_diamonds,
+        "internal_edges": 2 * n_diamonds,
+        "external_edges": n_diamonds + 1,
+        "directed_edges": 2 * (3 * n_diamonds + 1),
         "slots": graph.dim,
     }
-    if counts["vertices"] != expected_vertices:
-        violations.append(f"vertex count {counts['vertices']} != {expected_vertices}")
-    if counts["diamonds"] != 2 * graph.n_cells:
-        violations.append("diamond count mismatch")
-    if counts["internal_edges"] != expected_internal:
-        violations.append("internal edge count mismatch")
-    if counts["external_edges"] != graph.n_diamonds + 1:
-        violations.append("external edge count mismatch")
-
     return AuditReport(counts=counts, violations=tuple(violations))

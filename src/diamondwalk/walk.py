@@ -1,13 +1,15 @@
 """Discrete-time single-photon walk on the diamond chain.
 
-State model: one complex amplitude per (directed edge, position-along-edge)
-slot.  Each directed edge's slots are contiguous and in travel order, so one
-sub-step is a shift of the whole state by one slot, followed by the vertex
-scatter and the mirrors, which overwrite the first slot of every edge:
-amplitudes reaching a vertex scatter through the three-port unitary into the
-first slots of the outgoing edges (picking up the phase of any shifter on the
-edge they enter), and amplitudes reaching a chain-end mirror reverse with
-phase -1.  Every ingredient is unitary, so the norm is conserved to rounding.
+State model: one complex amplitude per slot of the layout that
+:mod:`diamondwalk.lattice` defines (edge, direction, position along the
+edge); that module alone does slot arithmetic.  Each directed edge's slots
+are contiguous and in travel order, so one sub-step is a shift of the whole
+state by one slot, followed by the vertex scatter and the mirrors, which
+overwrite the first slot of every edge: amplitudes reaching a vertex scatter
+through the three-port unitary into the first slots of the outgoing edges
+(picking up the phase of any shifter on the edge they enter), and amplitudes
+reaching a chain-end mirror reverse with phase -1.  Every ingredient is
+unitary, so the norm is conserved to rounding.
 
 The step is strictly local: amplitude crosses at most one vertex per
 sub-step.  So a sub-step acts on a window of diamonds, and the whole chain is
@@ -24,12 +26,11 @@ cell-resolved probability plots.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SUBSITES, LatticeGraph
+from .lattice import SUBSITES, LatticeGraph, _window_slots
 
 __all__ = [
     "LightConeOverflow",
@@ -105,37 +106,25 @@ def _check_state(state: WalkState, graph: LatticeGraph) -> None:
                          f"{graph.dim} slots: it was built on another graph")
 
 
-def _window_slots(graph: LatticeGraph,
-                  window: tuple[int, int] | None) -> tuple[int, int, slice, slice]:
-    """``(lo, hi)`` of the window (the whole chain when None), then the slots of
-    diamonds ``lo .. hi``: their internal edges, then the external edges
-    ``lo .. hi + 1``, each a contiguous range in the documented layout.
-    Raises :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
-    last = graph.n_diamonds - 1
-    lo, hi = (0, last) if window is None else map(operator.index, window)
-    if not 0 <= lo <= hi <= last:
-        raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
-    internal, external = graph.spec.internal_length, graph.spec.external_length
-    external_base = 4 * graph.n_diamonds * internal
-    return (lo, hi, slice(4 * lo * internal, 4 * (hi + 1) * internal),
-            slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
-
-
 def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | None = None,
          out: np.ndarray | None = None) -> WalkState:
     """Advance diamonds ``window=(lo, hi)`` (the whole chain when None) one
-    sub-step into ``out`` (a new zeroed array when None; never the input's own
-    array); the input is not modified.
+    sub-step into ``out`` (a new zeroed array when None); the input is not
+    modified.  Raises :class:`ValueError`, before any write, when ``out`` may
+    share memory with the input's amplitudes.
 
-    Only the window's slots (see :func:`_window_slots`) are read and written,
-    and the vertex and mirror writes cover every one the shift does not
-    (:func:`~diamondwalk.lattice.audit_graph` checks this).  This is exact
-    when ``state`` is zero outside the slots of diamonds ``lo + 1 .. hi - 1``;
-    where the window reaches a chain end, that end needs no such margin.
+    Only the window's slots (see :func:`~diamondwalk.lattice._window_slots`)
+    are read and written, and the vertex and mirror writes cover every one the
+    shift does not (:func:`~diamondwalk.lattice.audit_graph` checks this).
+    This is exact when ``state`` is zero outside the slots of diamonds
+    ``lo + 1 .. hi - 1``; where the window reaches a chain end, that end needs
+    no such margin.
     """
     _check_state(state, graph)
     lo, hi, internal, external = _window_slots(graph, window)
     old = state.amplitudes
+    if out is not None and np.may_share_memory(out, old):
+        raise ValueError("out may share memory with the input state; pass a separate array")
     new = np.zeros_like(old) if out is None else out
     new[internal.start + 1 : internal.stop] = old[internal.start : internal.stop - 1]
     new[external.start + 1 : external.stop] = old[external.start : external.stop - 1]
@@ -156,10 +145,12 @@ def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
     """Probability per cell: each slot's ``|amplitude|^2`` summed into its
     ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach.
 
-    Only the slots of ``window`` (see :func:`_window_slots`) are summed, in
-    their full-state order, so when every other slot is zero the result is
-    bit-identical to the full sum.
+    Only the slots of ``window`` (see :func:`~diamondwalk.lattice._window_slots`)
+    are summed, in their full-state order, so when every other slot is zero
+    the result is bit-identical to the full sum.  Rejects a state built on
+    another graph.
     """
+    _check_state(state, graph)
     _, _, internal, external = _window_slots(graph, window)
     amplitudes, slot_cell = state.amplitudes, graph.slot_cell
     p = np.bincount(slot_cell[internal], weights=np.abs(amplitudes[internal]) ** 2,

@@ -9,7 +9,7 @@ from diamondwalk import (
     audit_graph,
     build_lattice,
 )
-from step_oracle import directed, external_edge, slots
+from step_oracle import directed, external_edge, slots, wiring
 
 FIG5_PAIRS = ((1.5, 2.5), (3 * np.pi / 4, 0.0))
 
@@ -34,9 +34,8 @@ def test_counts_m1():
 
 def test_every_vertex_has_three_wired_ports():
     g = small_graph(half_length=1)
-    assert np.all(g.leaving >= 0)
-    assert np.all(g.in_slot >= 0)
-    assert g.leaving.shape == (g.n_vertices, 3)
+    assert np.all(g.in_slot >= 0) and np.all(g.out_slot >= 0)
+    assert g.in_slot.shape == g.out_slot.shape == g.out_phase.shape == (g.n_vertices, 3)
 
 
 def test_counts_m50():
@@ -52,16 +51,18 @@ def test_profile_maps_to_diamond_phases():
     g = small_graph(half_length=2, profile=profile)
     for m, expected in ((0, FIG5_PAIRS[0]), (1, FIG5_PAIRS[1]), (-2, FIG5_PAIRS[0])):
         for subsite, phi in zip("ab", expected):
-            bottom = 2 * g.diamond_index(m, subsite) + 1
-            assert g.edge_phase[bottom] == pytest.approx(np.exp(1j * phi))
+            d = g.diamond_index(m, subsite)
+            # port C of both vertices writes the diamond's bottom edge
+            assert g.out_phase[[2 * d, 2 * d + 1], 2] == pytest.approx(np.exp(1j * phi))
 
 
 def test_shifted_edge_carries_the_phase():
     g = small_graph(half_length=1, profile=PhaseProfile.uniform(0.7, 0.7, 1))
     d = g.diamond_index(0, "a")
-    top, bottom = 2 * d, 2 * d + 1
-    assert g.edge_phase[top] == 1.0
-    assert g.edge_phase[bottom] == pytest.approx(np.exp(0.7j))
+    vertices = [2 * d, 2 * d + 1]
+    # ports A and B write the external and top edges, port C the bottom edge
+    assert np.all(g.out_phase[vertices, :2] == 1.0)
+    assert g.out_phase[vertices, 2] == pytest.approx(np.exp(0.7j))
 
 
 def test_rebuild_is_deterministic():
@@ -69,8 +70,10 @@ def test_rebuild_is_deterministic():
     a = build_lattice(LatticeSpec(half_length=3, profile=profile))
     b = build_lattice(LatticeSpec(half_length=3, profile=profile))
     tables = [f.name for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)]
-    assert "slot_cell" in tables and "leaving" in tables
+    assert {"cells", "slot_cell", "in_slot", "vertex_matrix"} <= set(tables)
     for name in tables:
+        # the graph is shared between walks, and WalkObservables.cells is graph.cells
+        assert not getattr(a, name).flags.writeable, name
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -90,6 +93,17 @@ def test_slot_cell_counts_gap_amplitude_toward_the_diamond_ahead(internal, exter
         expected[slots(spec, directed(e, 0))] = min(j, g.n_diamonds - 1) // 2
         expected[slots(spec, directed(e, 1))] = max(j - 1, 0) // 2
     assert np.array_equal(g.slot_cell, expected)
+
+
+@pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
+def test_step_tables_equal_the_wiring_restated_from_the_spec(internal, external):
+    profile = PhaseProfile.two_region(FIG5_PAIRS[0], FIG5_PAIRS[1], 2, boundary=0)
+    spec = LatticeSpec(half_length=2, profile=profile,
+                       internal_length=internal, external_length=external)
+    g = build_lattice(spec)
+    for name, table in wiring(spec).items():
+        assert getattr(g, name).dtype == table.dtype, name
+        assert np.array_equal(getattr(g, name), table), name
 
 
 def test_rejects_profile_not_covering_chain():
@@ -123,12 +137,11 @@ def test_audit_clean_on_m5():
 
 def test_audit_flags_deleted_adjacency():
     g = small_graph(half_length=2)
-    broken_leaving = g.leaving.copy()
-    broken_leaving[3, 1] = -1
-    broken = dataclasses.replace(g, leaving=broken_leaving)
-    report = audit_graph(broken)
+    broken_in_slot = g.in_slot.copy()
+    broken_in_slot[3, 1] = -1
+    report = audit_graph(dataclasses.replace(g, in_slot=broken_in_slot))
     assert not report.ok
-    assert any("unwired" in v or "partition" in v for v in report.violations)
+    assert "step slot tables point outside the state" in report.violations
 
 
 def test_audit_flags_slot_cell_out_of_range():
@@ -164,11 +177,11 @@ def test_audit_flags_a_wrong_output_phase(internal, external):
     out_phase = g.out_phase.copy()
     out_phase[8, :] = 2.0  # not the phase of the edges vertex 8 writes, nor unimodular
     report = audit_graph(dataclasses.replace(g, out_phase=out_phase))
-    assert "out_phase differs from the phase of the edge each port writes" in report.violations
-    edge_phase = g.edge_phase.copy()
-    edge_phase[3] = 1.5
-    report = audit_graph(dataclasses.replace(g, edge_phase=edge_phase))
-    assert "an edge phase has modulus other than 1" in report.violations
+    assert report.violations == ("out_phase differs from the phase of the edge each port writes",)
+    out_phase = g.out_phase.copy()
+    out_phase[3, 2] = np.exp(0.5j)  # unimodular, but not the diamond's phase
+    report = audit_graph(dataclasses.replace(g, out_phase=out_phase))
+    assert report.violations == ("out_phase differs from the phase of the edge each port writes",)
 
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
@@ -183,6 +196,12 @@ def test_audit_flags_a_port_reading_another_edge(internal, external):
     mirror_src = g.mirror_src[::-1].copy()
     report = audit_graph(dataclasses.replace(g, mirror_src=mirror_src))
     assert report.violations == ("a vertex port or mirror does not read the edge it writes",)
+    # vertices 4 and 6 trade their whole wiring: every port still reads the
+    # edge it writes, but each now writes the other's diamond
+    out_slot = g.out_slot.copy()
+    out_slot[[4, 6]] = out_slot[[6, 4]]
+    report = audit_graph(dataclasses.replace(g, in_slot=in_slot, out_slot=out_slot))
+    assert report.violations == ("a vertex port or mirror writes outside its diamond's window",)
 
 
 def test_diamond_index_bounds():

@@ -127,6 +127,21 @@ def test_state_from_another_graph_is_rejected():
         evolve(state, small, 3)
     with pytest.raises(ValueError, match="another graph"):
         step(state, small)
+    for foreign in (state, WalkState(amplitudes=np.ones(small.dim - 1, dtype=complex))):
+        with pytest.raises(ValueError, match="another graph"):
+            cell_probabilities(small, foreign)
+
+
+def test_step_rejects_an_out_sharing_memory_with_the_input():
+    g = graph_for(2)
+    rng = np.random.default_rng(2017)
+    backing = rng.normal(size=g.dim + 1) + 1j * rng.normal(size=g.dim + 1)
+    kept = backing.copy()
+    state = WalkState(amplitudes=backing[: g.dim])
+    for out in (state.amplitudes, state.amplitudes[:], backing[1:]):
+        with pytest.raises(ValueError, match="share memory"):
+            step(state, g, out=out)
+    assert np.array_equal(backing.view(np.int64), kept.view(np.int64))  # nothing written
 
 
 def plain_records(state, graph, n_record):
