@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _END_LEAK_TOL = 1e-9
+_SUM_BLOCK = 1 << 16  # floats in evolve's row-block buffer (512 KiB)
 
 
 class LightConeOverflow(RuntimeError):
@@ -101,6 +102,8 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
 
 
 def _check_state(state: WalkState, graph: LatticeGraph) -> None:
+    if state.amplitudes.dtype != complex:
+        raise ValueError(f"state has dtype {state.amplitudes.dtype}, not complex128")
     if state.amplitudes.shape != (graph.dim,):
         raise ValueError(f"state has shape {state.amplitudes.shape}, but the graph has "
                          f"{graph.dim} slots: it was built on another graph")
@@ -110,8 +113,9 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
          out: np.ndarray | None = None) -> WalkState:
     """Advance diamonds ``window=(lo, hi)`` (the whole chain when None) one
     sub-step into ``out`` (a new zeroed array when None); the input is not
-    modified.  Raises :class:`ValueError`, before any write, when ``out`` may
-    share memory with the input's amplitudes.
+    modified.  Raises :class:`ValueError`, before any write, when ``out`` is
+    not a complex128 array of ``graph.dim`` slots or may share memory with the
+    input's amplitudes.
 
     Only the window's slots (see :func:`~diamondwalk.lattice._window_slots`)
     are read and written, and the vertex and mirror writes cover every one the
@@ -123,6 +127,8 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     _check_state(state, graph)
     lo, hi, internal, external = _window_slots(graph, window)
     old = state.amplitudes
+    if out is not None and (out.dtype, out.shape) != (old.dtype, old.shape):
+        raise ValueError(f"out has dtype {out.dtype} and shape {out.shape}, not the state's")
     if out is not None and np.may_share_memory(out, old):
         raise ValueError("out may share memory with the input state; pass a separate array")
     new = np.zeros_like(old) if out is None else out
@@ -171,7 +177,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     chain.  The input state is not modified.  Raises
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
-    unobservable.
+    unobservable.  Holds ``p_cell`` (exactly zero outside the light cone), two
+    state-sized buffers and one row block of at most 512 KiB for the moments.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
@@ -205,9 +212,15 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
                 "increase half_length (see auto_half_length)"
             )
 
+    # Row blocks through one reused buffer: each row sums exactly as a row of
+    # the full-size temporary ``p_cell * w`` would, without that temporary.
     total = p_cell.sum(axis=1)
-    mean = (p_cell * m).sum(axis=1) / total
-    var = (p_cell * m**2).sum(axis=1) / total - mean**2
+    block = max(_SUM_BLOCK // graph.n_cells, 1)
+    buf = np.empty((min(block, n_rows), graph.n_cells))
+    mean, second = (np.concatenate([np.multiply(rows, w, out=buf[: len(rows)]).sum(axis=1)
+                                    for rows in np.split(p_cell, range(block, n_rows, block))])
+                    / total for w in (m, m**2))
+    var = second - mean**2
     sigma = np.sqrt(np.maximum(var, 0.0))
     half = graph.half_length
     p_boundary = p_cell[:, half - 1 : half + 2].sum(axis=1)

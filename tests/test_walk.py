@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from diamondwalk import (
     initial_state,
     step,
 )
+from diamondwalk import walk
 from diamondwalk.walk import WalkState, cell_probabilities
 from step_oracle import assemble_step_operator, directed, external_edge, plain_step, slots
 
@@ -144,6 +146,24 @@ def test_step_rejects_an_out_sharing_memory_with_the_input():
     assert np.array_equal(backing.view(np.int64), kept.view(np.int64))  # nothing written
 
 
+def test_a_state_or_out_that_is_not_complex128_of_the_graph_is_rejected():
+    # a float array would keep only the real parts and lose probability
+    g = graph_for(3)
+    state = initial_state(g, 0, "a", "right")
+    real = WalkState(amplitudes=state.amplitudes.real.copy())
+    with pytest.raises(ValueError, match="dtype float64, not complex128"):
+        step(real, g)
+    with pytest.raises(ValueError, match="dtype float64, not complex128"):
+        evolve(real, g, 3)
+    with pytest.raises(ValueError, match="dtype float64, not complex128"):
+        cell_probabilities(g, real)
+    for out in (np.full(g.dim, np.nan), np.full(g.dim, np.nan, dtype=np.complex64),
+                np.full(g.dim + 5, np.nan, dtype=complex)):
+        with pytest.raises(ValueError, match=re.escape(f"dtype {out.dtype} and shape {out.shape}")):
+            step(state, g, out=out)
+        assert np.isnan(out).all()  # nothing written
+
+
 def plain_records(state, graph, n_record):
     """The full-chain walk: each slot's ``|amplitude|^2`` summed per cell
     after every ``substeps_per_hop`` calls of ``plain_step``, up to record
@@ -173,8 +193,10 @@ def window_mask(spec, lo, hi):
 
 
 def assert_evolve_matches_plain(state, graph, n_record):
-    """``evolve`` gives the plain walk's rows bit for bit, or raises its
-    overflow at the same record with the same message."""
+    """``evolve`` gives the plain walk's rows, and the full-width formulas'
+    mean, sigma and boundary probability on those rows, bit for bit, or
+    raises the plain walk's overflow at the same record with the same
+    message."""
     before = state.amplitudes.copy()
     rows, overflow = plain_records(state, graph, n_record)
     if overflow is not None:
@@ -182,8 +204,16 @@ def assert_evolve_matches_plain(state, graph, n_record):
             evolve(state, graph, n_record)
         rows = rows[:-1]
     if len(rows):
-        p_cell = evolve(state, graph, len(rows) - 1).p_cell
-        assert np.array_equal(p_cell.view(np.int64), rows.view(np.int64))
+        obs = evolve(state, graph, len(rows) - 1)
+        m = graph.cells.astype(float)
+        total = rows.sum(axis=1)
+        mean = (rows * m).sum(axis=1) / total
+        var = (rows * m**2).sum(axis=1) / total - mean**2
+        half = graph.half_length
+        for got, want in ((obs.p_cell, rows), (obs.mean, mean),
+                          (obs.sigma, np.sqrt(np.maximum(var, 0.0))),
+                          (obs.p_boundary, rows[:, half - 1 : half + 2].sum(axis=1))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -295,6 +325,31 @@ def test_windowed_evolve_starts_from_the_state_support(internal, external):
     amplitudes = np.zeros(g.dim, dtype=complex)
     amplitudes[slots(g.spec, bottom_backward).start + internal // 2] = 1.0
     assert_evolve_matches_plain(WalkState(amplitudes=amplitudes), g, 40)
+
+
+def test_windowed_evolve_matches_plain_walk_over_several_row_blocks():
+    # enough cells that evolve sums its moments in several row blocks, and a
+    # row count that is not a multiple of the block
+    g = boundary_graph(3000)
+    n_record = 24
+    block = walk._SUM_BLOCK // g.n_cells
+    assert 1 < block < n_record + 1 and (n_record + 1) % block
+    assert_evolve_matches_plain(initial_state(g, 0, "a", "right"), g, n_record)
+
+
+def test_evolve_peak_memory_is_p_cell_two_states_and_one_block():
+    # numpy reports its buffers to tracemalloc; a temporary the size of p_cell
+    # would take the peak past the bound
+    g = boundary_graph(1500)
+    state = initial_state(g, 0, "a", "right")
+    tracemalloc.start()
+    try:
+        obs = evolve(state, g, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the row block is at most 512 KiB; the rest of the MiB is small arrays
+    assert peak < obs.p_cell.nbytes + 2 * state.amplitudes.nbytes + 2**20
 
 
 def test_evolve_record_zero_only():
