@@ -164,6 +164,8 @@ def _run_walk(config: RunConfig, steps: int, cell: int, subsite: str, direction:
 
 
 def cmd_walk(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     steps = args.steps if args.steps is not None else config.steps
     if steps is None:

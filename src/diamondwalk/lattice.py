@@ -357,10 +357,11 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
             violations.append("step does not write every slot exactly once")
 
     # locality: a vertex port or mirror reads the last slot of the edge it
-    # writes, traversed the other way, and writes within its own diamond's
-    # window (its internal edges and the external edges on either side), so
-    # amplitude crosses one vertex per sub-step, as the walk's light-cone
-    # window relies on.  Checked once the slots are a bijection.
+    # writes, traversed the other way, and writes that edge's first slot,
+    # within its own diamond's window (its internal edges and the external
+    # edges on either side).  So amplitude needs a record to cross a diamond,
+    # and the walk's light-cone window grows one diamond per record.  Checked
+    # once the slots are a bijection.
     if not violations and graph.out_slot.size == 6 * n_diamonds:
         reverse_end = np.full(graph.dim, -1)  # at each edge's first slot
         lowest = np.empty(graph.dim, dtype=int)  # lowest diamond whose window holds a slot

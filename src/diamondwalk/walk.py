@@ -11,12 +11,13 @@ through the three-port unitary into the first slots of the outgoing edges
 reaching a chain-end mirror reverse with phase -1.  Every ingredient is
 unitary, so the norm is conserved to rounding.
 
-The step is strictly local: amplitude crosses at most one vertex per
-sub-step.  So a sub-step acts on a window of diamonds, and the whole chain is
-the window ``(0, n_diamonds - 1)``.  :func:`evolve` advances and measures only
-a window that holds all the nonzero amplitude, grown by one diamond on each
-side before every sub-step.  Slots outside the window are exactly zero, so the
-windowed probabilities are bit-identical to the full-chain ones.
+The step is strictly local: amplitude moves one slot per sub-step, so it
+crosses at most one vertex per sub-step and one diamond per record.  So a
+sub-step acts on a window of diamonds, and the whole chain is the window
+``(0, n_diamonds - 1)``.  :func:`evolve` advances and measures only a window
+that holds all the nonzero amplitude, grown by one diamond on each side per
+record, the photon's own speed.  Slots outside the window are exactly zero,
+so the windowed probabilities are bit-identical to the full-chain ones.
 
 Observables are recorded stroboscopically: the natural recording cadence is
 one record per diamond-to-diamond travel time (``internal_length +
@@ -173,8 +174,9 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     Records the initial state and then one row per diamond-to-diamond travel
     time (``graph.spec.substeps_per_hop`` sub-steps).  Each sub-step advances
     only the light-cone window: the diamonds holding the input's nonzero
-    amplitude, grown by one diamond on each side per sub-step up to the whole
-    chain.  The input state is not modified.  Raises
+    amplitude, grown by one diamond on each side per record up to the whole
+    chain.  The input state is not modified.  Raises :class:`ValueError` for
+    a state with no nonzero amplitude or a NaN or infinite one, and
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
     unobservable.  Holds ``p_cell`` (exactly zero outside the light cone), two
@@ -183,17 +185,25 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
     _check_state(state, graph)
+    nonzero = np.flatnonzero(state.amplitudes)
+    if not nonzero.size:
+        raise ValueError("state has no nonzero amplitude")
+    if not np.isfinite(state.amplitudes[nonzero]).all():
+        raise ValueError("state has a NaN or infinite amplitude")
     substeps_per_record = graph.spec.substeps_per_hop
 
     # The window starts at the diamonds of the cells holding amplitude, with
-    # one diamond of slack on each side.  Both buffers stay zero outside the
-    # window: a windowed step rewrites every slot of the window, and the
-    # window never shrinks.
+    # one diamond of slack on each side, and grows by one diamond on each side
+    # at the start of every record.  That is exact: vertices and mirrors read
+    # only edge ends and write only edge starts (audit_graph checks this), so
+    # amplitude in the grown window's interior, diamonds lo + 1 .. hi - 1,
+    # where each record starts, enters diamond lo one sub-step later and
+    # diamond lo - 1 no sooner than a record after that (likewise at hi).
+    # Both buffers stay zero outside the window: a windowed step rewrites
+    # every slot of the window, and the window never shrinks.
     last = graph.n_diamonds - 1
-    cells = graph.slot_cell[np.flatnonzero(state.amplitudes)]
-    lo, hi = 0, last
-    if cells.size:
-        lo, hi = max(2 * int(cells.min()) - 1, 0), min(2 * int(cells.max()) + 2, last)
+    cells = graph.slot_cell[nonzero]
+    lo, hi = max(2 * int(cells.min()) - 1, 0), min(2 * int(cells.max()) + 2, last)
     state = WalkState(amplitudes=state.amplitudes.copy())
     spare = np.zeros_like(state.amplitudes)
 
@@ -202,8 +212,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     p_cell = np.empty((n_rows, graph.n_cells))
     for r in range(n_rows):
         if r > 0:
+            lo, hi = max(lo - 1, 0), min(hi + 1, last)
             for _ in range(substeps_per_record):
-                lo, hi = max(lo - 1, 0), min(hi + 1, last)
                 state, spare = step(state, graph, window=(lo, hi), out=spare), state.amplitudes
         p_cell[r] = cell_probabilities(graph, state, window=(lo, hi))
         if p_cell[r, 0] + p_cell[r, -1] > _END_LEAK_TOL:

@@ -10,7 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import diamondwalk
-from diamondwalk import ConfigError, PhaseProfile, parse_config
+from diamondwalk import ConfigError, PhaseProfile, cli, parse_config
 from diamondwalk.cli import main
 from diamondwalk.config import CONFIG_SCHEMA
 
@@ -156,6 +156,20 @@ class TestCli:
         assert main(["walk", "--config", str(config), "--steps", "4",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 5 * 17
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_walk_steps_below_one_is_config_error_before_the_build(self, tmp_path, capsys,
+                                                                    monkeypatch, steps):
+        # the config schema's minimum for "steps"; a build would exit 4 here
+        def no_build(spec):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli, "build_lattice", no_build)
+        config = write_config(tmp_path, FIG5_CONFIG)
+        out = tmp_path / "w.csv"
+        assert main(["walk", "--config", str(config), "--steps", steps, "--out", str(out)]) == 2
+        assert f"config error: --steps must be at least 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_walk_missing_steps_is_config_error(self, tmp_path):
         payload = {k: v for k, v in FIG5_CONFIG.items() if k != "steps"}

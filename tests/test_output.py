@@ -59,8 +59,8 @@ def test_csv_rejects_columns_of_different_lengths():
         _csv("a,b", np.arange(3), np.arange(2))
 
 
-# 60 records of 3 sub-steps grow the window from the injection diamond to
-# diamonds 119..482 of 602, so the chain ends are never stepped
+# 60 records grow the window one diamond per record from the injection
+# diamond to diamonds 239..362 of 602, so the chain ends are never stepped
 INNER_WALK_CONFIG = {
     "half_length": 150,
     "steps": 60,

@@ -327,6 +327,85 @@ def test_windowed_evolve_starts_from_the_state_support(internal, external):
     assert_evolve_matches_plain(WalkState(amplitudes=amplitudes), g, 40)
 
 
+# EDGE_LENGTHS and two whose internal and external lengths differ more
+HOP_EDGE_LENGTHS = EDGE_LENGTHS + [(1, 3), (4, 1)]
+
+
+@pytest.mark.parametrize("internal,external", HOP_EDGE_LENGTHS)
+def test_windowed_evolve_is_exact_from_every_phase_of_a_hop(internal, external):
+    # The window grows one diamond per record, the speed at which amplitude
+    # crosses diamonds.  Start from each slot of one diamond's edges, so a
+    # record begins at every phase of a hop, and from full support on a range
+    # of cells, which holds the slots farthest out on both sides.
+    half = 8
+    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
+                  internal, external)
+    d = g.diamond_index(0, "a")
+    for edge in (2 * d, 2 * d + 1, external_edge(g.spec, d), external_edge(g.spec, d + 1)):
+        for direction in (0, 1):
+            for slot in range(g.dim)[slots(g.spec, directed(edge, direction))]:
+                amplitudes = np.zeros(g.dim, dtype=complex)
+                amplitudes[slot] = 1.0
+                assert_evolve_matches_plain(WalkState(amplitudes=amplitudes), g, 6)
+    rng = np.random.default_rng(2017)
+    support = np.abs(g.slot_cell - half) <= 1  # cells -1..1
+    amplitudes = np.where(support, rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim), 0)
+    assert_evolve_matches_plain(WalkState(amplitudes=amplitudes / np.linalg.norm(amplitudes)),
+                                g, 6)
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_window_grows_one_diamond_on_each_side_per_record(monkeypatch, internal, external):
+    # from initial_state at cell index c, every sub-step of record r runs on
+    # diamonds 2c - 1 - r .. 2c + 2 + r, clipped to the chain; next to an end
+    # the walk overflows at record 2, after stepping it on a clipped window
+    half = 6
+    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
+                  internal, external)
+    last, substeps = g.n_diamonds - 1, g.spec.substeps_per_hop
+    windows = []
+
+    def recording_step(state, graph, *, window=None, out=None):
+        windows.append(window)
+        return step(state, graph, window=window, out=out)
+
+    monkeypatch.setattr(walk, "step", recording_step)
+    for cell, subsite, direction, overflow in ((0, "a", "right", None), (-5, "b", "left", 2),
+                                               (5, "a", "right", 2)):
+        windows.clear()
+        state = initial_state(g, cell, subsite, direction)
+        if overflow is None:
+            n_record = 10
+            evolve(state, g, n_record)
+        else:
+            n_record = overflow
+            with pytest.raises(LightConeOverflow, match=f"at record {overflow};"):
+                evolve(state, g, 10)
+        c = cell + half
+        assert windows == [(max(2 * c - 1 - r, 0), min(2 * c + 2 + r, last))
+                           for r in range(1, n_record + 1) for _ in range(substeps)]
+
+
+@pytest.mark.parametrize("value", [None, np.nan, np.inf, complex(1.0, -np.inf)],
+                         ids=["zero", "nan", "inf", "complex-inf"])
+def test_evolve_rejects_a_zero_or_non_finite_state_before_allocating(value):
+    # a zero state would give NaN moments, and NaN never exceeds the end-leak
+    # tolerance, so neither may reach the walk
+    g = graph_for(1500)
+    amplitudes = np.zeros(g.dim, dtype=complex)
+    if value is not None:
+        amplitudes[g.in_slot[0, 0]] = 1.0
+        amplitudes[-1] = value
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no nonzero" if value is None else "NaN or inf"):
+            evolve(WalkState(amplitudes=amplitudes), g, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < amplitudes.nbytes  # neither p_cell nor the state's copy
+
+
 def test_windowed_evolve_matches_plain_walk_over_several_row_blocks():
     # enough cells that evolve sums its moments in several row blocks, and a
     # row count that is not a multiple of the block
