@@ -66,8 +66,7 @@ class GapClosed(ArithmeticError):
 @dataclass(frozen=True)
 class BandResult:
     k_grid: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
+    e_plus: np.ndarray  # upper band; the lower band is -e_plus
     abs_ta: np.ndarray
     abs_tb: np.ndarray
     gap: float
@@ -246,7 +245,6 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     return BandResult(
         k_grid=k,
         e_plus=e_plus,
-        e_minus=-e_plus,
         abs_ta=abs_ta,
         abs_tb=abs_tb,
         gap=float(gap[0]),

@@ -95,7 +95,7 @@ def _csv(header: str, *columns: np.ndarray) -> str:
 
 def _bands_csv(result: bands_mod.BandResult) -> str:
     return _csv("k,e_plus,e_minus,abs_ta,abs_tb", result.k_grid, result.e_plus,
-                result.e_minus, result.abs_ta, result.abs_tb)
+                -result.e_plus, result.abs_ta, result.abs_tb)
 
 
 def cmd_scatter(args) -> int:
@@ -163,9 +163,14 @@ def _run_walk(config: RunConfig, steps: int, cell: int, subsite: str, direction:
     return walk_mod.evolve(state, graph, steps)
 
 
+def _check_steps(steps: int | None) -> None:
+    """Reject a ``--steps`` below the config schema's minimum of 1 before any work."""
+    if steps is not None and steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {steps}")
+
+
 def cmd_walk(args) -> int:
-    if args.steps is not None and args.steps < 1:
-        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    _check_steps(args.steps)
     config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     steps = args.steps if args.steps is not None else config.steps
     if steps is None:
@@ -244,6 +249,7 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
 
 
 def cmd_repro(args) -> int:
+    _check_steps(args.steps)
     run_reproduction(args.figure, Path(args.out), steps=args.steps, nk=args.nk)
     return EXIT_OK
 

@@ -79,7 +79,7 @@ class EdgeConvention:
 
 
 #: Result of calibrate_edge_convention(); used as the package-wide default.
-DEFAULT_CONVENTION = EdgeConvention(internal_length=2, quarter_turns=1)
+DEFAULT_CONVENTION = EdgeConvention()
 
 
 @dataclass(frozen=True)

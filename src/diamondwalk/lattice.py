@@ -162,7 +162,7 @@ class LatticeSpec:
         return self.internal_length + self.external_length
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeGraph:
     """The built chain and the read-only tables the walk and the audit read.
 
@@ -172,19 +172,19 @@ class LatticeGraph:
     ``state[n_int:].reshape(n_diamonds + 1, 2, L_ext)`` (external edge,
     direction, position).  Vertices and mirrors read the last slot of an edge
     and write the first slot of the same edge traversed the other way; the
-    walk shifts every other slot by one.  Every array is read-only, so a graph
-    is safe to share between concurrent evolutions.
+    walk shifts every other slot by one.  The fields cannot be rebound and
+    every array is read-only, so a graph is safe to share between concurrent
+    evolutions.
     """
 
     spec: LatticeSpec
     n_cells: int
     n_diamonds: int
-    n_vertices: int
     vertex_matrix: np.ndarray  # shared 3x3 unitary (theta is global)
     dim: int
-    in_slot: np.ndarray  # (n_vertices, 3) last slot of the edge arriving at each port
-    out_slot: np.ndarray  # (n_vertices, 3) first slot of the edge leaving each port
-    out_phase: np.ndarray  # (n_vertices, 3) phase applied on entering the leaving edge
+    in_slot: np.ndarray  # (2 * n_diamonds, 3) last slot of the edge arriving at each port
+    out_slot: np.ndarray  # (2 * n_diamonds, 3) first slot of the edge leaving each port
+    out_phase: np.ndarray  # (2 * n_diamonds, 3) phase applied on entering the leaving edge
     mirror_src: np.ndarray  # (2,) last slots running into the left and right mirror
     mirror_dst: np.ndarray  # (2,) first slots they reflect into
 
@@ -301,7 +301,6 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
         spec=spec,
         n_cells=n_cells,
         n_diamonds=n_diamonds,
-        n_vertices=2 * n_diamonds,
         vertex_matrix=vertex_unitary(spec.theta),
         dim=dim,
         **tables,

@@ -140,7 +140,7 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     new[external.start] = 0
     rows = slice(2 * lo, 2 * hi + 2)
     ends = slice(lo != 0, 1 + (hi == graph.n_diamonds - 1))  # mirrors the window reaches
-    incoming = old[graph.in_slot[rows]]                # (n_vertices, 3)
+    incoming = old[graph.in_slot[rows]]                # (window vertices, 3)
     outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
     new[graph.out_slot[rows]] = outgoing * graph.out_phase[rows]
     new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]
@@ -173,9 +173,9 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
 
     Records the initial state and then one row per diamond-to-diamond travel
     time (``graph.spec.substeps_per_hop`` sub-steps).  Each sub-step advances
-    only the light-cone window: the diamonds holding the input's nonzero
-    amplitude, grown by one diamond on each side per record up to the whole
-    chain.  The input state is not modified.  Raises :class:`ValueError` for
+    only the light-cone window: the diamonds of the cells holding the input's
+    nonzero amplitude, grown by one diamond on each side per record up to the
+    whole chain.  The input state is not modified.  Raises :class:`ValueError` for
     a state with no nonzero amplitude or a NaN or infinite one, and
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
@@ -192,18 +192,19 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
         raise ValueError("state has a NaN or infinite amplitude")
     substeps_per_record = graph.spec.substeps_per_hop
 
-    # The window starts at the diamonds of the cells holding amplitude, with
-    # one diamond of slack on each side, and grows by one diamond on each side
-    # at the start of every record.  That is exact: vertices and mirrors read
-    # only edge ends and write only edge starts (audit_graph checks this), so
-    # amplitude in the grown window's interior, diamonds lo + 1 .. hi - 1,
-    # where each record starts, enters diamond lo one sub-step later and
-    # diamond lo - 1 no sooner than a record after that (likewise at hi).
+    # The window starts at the diamonds of the cells holding amplitude and
+    # grows by one diamond on each side at the start of every record.  That is
+    # exact: a cell's slots, external edges included, lie in the interior of
+    # its diamonds grown by one, and vertices and mirrors read only edge ends
+    # and write only edge starts (audit_graph checks this), so amplitude in the
+    # grown window's interior, diamonds lo + 1 .. hi - 1, where each record
+    # starts, enters diamond lo one sub-step later and diamond lo - 1 no
+    # sooner than a record after that (likewise at hi).
     # Both buffers stay zero outside the window: a windowed step rewrites
     # every slot of the window, and the window never shrinks.
     last = graph.n_diamonds - 1
     cells = graph.slot_cell[nonzero]
-    lo, hi = max(2 * int(cells.min()) - 1, 0), min(2 * int(cells.max()) + 2, last)
+    lo, hi = 2 * int(cells.min()), 2 * int(cells.max()) + 1
     state = WalkState(amplitudes=state.amplitudes.copy())
     spare = np.zeros_like(state.amplitudes)
 

@@ -10,7 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import diamondwalk
-from diamondwalk import ConfigError, PhaseProfile, cli, parse_config
+from diamondwalk import AuditReport, ConfigError, PhaseProfile, cli, parse_config
 from diamondwalk.cli import main
 from diamondwalk.config import CONFIG_SCHEMA
 
@@ -170,6 +170,42 @@ class TestCli:
         assert main(["walk", "--config", str(config), "--steps", steps, "--out", str(out)]) == 2
         assert f"config error: --steps must be at least 1, got {steps}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig5"])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_repro_steps_below_one_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch, figure, steps):
+        def no_build(spec):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli, "build_lattice", no_build)
+        out = tmp_path / "out"
+        assert main(["repro", figure, "--out", str(out), "--steps", steps]) == 2
+        assert f"config error: --steps must be at least 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_walk_audit_violation_is_invariant_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        def failing_audit(graph):
+            return AuditReport(counts={}, violations=("forged violation",))
+
+        monkeypatch.setattr(cli, "audit_graph", failing_audit)
+        config = write_config(tmp_path, FIG5_CONFIG)
+        out = tmp_path / "w.csv"
+        assert main(["walk", "--config", str(config), "--out", str(out)]) == 4
+        assert "internal invariant violation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_reports_the_default_convention(self, capsys):
+        assert main(["calibrate"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["internal_length"] == 2 and payload["quarter_turns"] == 1
+        assert payload["max_abs_deviation"] < 1e-12
+
+    def test_run_reproduction_rejects_an_unknown_figure(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown reproduction target 'fig6'"):
+            cli.run_reproduction("fig6", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_walk_missing_steps_is_config_error(self, tmp_path):
         payload = {k: v for k, v in FIG5_CONFIG.items() if k != "steps"}

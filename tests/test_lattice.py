@@ -35,7 +35,7 @@ def test_counts_m1():
 def test_every_vertex_has_three_wired_ports():
     g = small_graph(half_length=1)
     assert np.all(g.in_slot >= 0) and np.all(g.out_slot >= 0)
-    assert g.in_slot.shape == g.out_slot.shape == g.out_phase.shape == (g.n_vertices, 3)
+    assert g.in_slot.shape == g.out_slot.shape == g.out_phase.shape == (2 * g.n_diamonds, 3)
 
 
 def test_counts_m50():
@@ -76,6 +76,13 @@ def test_rebuild_is_deterministic():
         assert not getattr(a, name).flags.writeable, name
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_graph_fields_cannot_be_rebound():
+    # read-only arrays protect a shared graph only if its fields stay bound to them
+    g = small_graph(half_length=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.in_slot = g.in_slot.copy()
 
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])

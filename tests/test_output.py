@@ -60,7 +60,8 @@ def test_csv_rejects_columns_of_different_lengths():
 
 
 # 60 records grow the window one diamond per record from the injection
-# diamond to diamonds 239..362 of 602, so the chain ends are never stepped
+# cell's diamonds 300..301 to diamonds 240..361 of 602, so the chain ends are
+# never stepped
 INNER_WALK_CONFIG = {
     "half_length": 150,
     "steps": 60,

@@ -357,7 +357,7 @@ def test_windowed_evolve_is_exact_from_every_phase_of_a_hop(internal, external):
 @pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
 def test_window_grows_one_diamond_on_each_side_per_record(monkeypatch, internal, external):
     # from initial_state at cell index c, every sub-step of record r runs on
-    # diamonds 2c - 1 - r .. 2c + 2 + r, clipped to the chain; next to an end
+    # diamonds 2c - r .. 2c + 1 + r, clipped to the chain; next to an end
     # the walk overflows at record 2, after stepping it on a clipped window
     half = 6
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
@@ -382,7 +382,7 @@ def test_window_grows_one_diamond_on_each_side_per_record(monkeypatch, internal,
             with pytest.raises(LightConeOverflow, match=f"at record {overflow};"):
                 evolve(state, g, 10)
         c = cell + half
-        assert windows == [(max(2 * c - 1 - r, 0), min(2 * c + 2 + r, last))
+        assert windows == [(max(2 * c - r, 0), min(2 * c + 1 + r, last))
                            for r in range(1, n_record + 1) for _ in range(substeps)]
 
 
@@ -436,6 +436,12 @@ def test_evolve_record_zero_only():
     obs = evolve(initial_state(g, 0, "a", "right"), g, 0)
     assert obs.p_cell.shape == (1, g.n_cells)
     assert obs.p_cell[0, g.half_length] == pytest.approx(1.0)
+
+
+def test_evolve_rejects_a_negative_record_count():
+    g = graph_for(3)
+    with pytest.raises(ValueError, match="n_record must be >= 0"):
+        evolve(initial_state(g, 0, "a", "right"), g, -1)
 
 
 def test_evolve_norm_and_positivity():
