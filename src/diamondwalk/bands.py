@@ -54,9 +54,10 @@ _XATOL = 1e-10
 _MAXITER = 500
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-# phase_diagram evaluates at most this many (phi_a, phi_b) pairs at once, so
-# its working memory is bounded by the block and n_k, not by the grid
-_PAIR_BLOCK = 512
+# floats in each (pairs, n_k) temporary of phase_diagram's block loop: 256 KiB
+# keeps a block's temporaries in L2; on a 32x32 sweep at n_k 512, 2**13 to 2**16
+# ran alike and 2**18 took 1.6-1.8x as long
+_BLOCK_FLOATS = 1 << 15
 
 
 class GapClosed(ArithmeticError):
@@ -200,11 +201,15 @@ def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray, *args: np.ndarray):
         fx = np.where(better, fu, fx)
 
 
-def _refined_gap(phi_a: np.ndarray, phi_b: np.ndarray, e_plus: np.ndarray, k: np.ndarray):
-    """Gap and its location per pair: the coarse minimum of ``2 e_plus`` along
-    the last axis, refined by the bounded Brent search within one grid step."""
+def _coarse_gap(e_plus: np.ndarray):
+    """Grid index and value of the minimum of ``2 e_plus`` along the last axis."""
     i_min = np.argmin(e_plus, axis=-1)
-    coarse = 2.0 * e_plus[np.arange(i_min.size), i_min]
+    return i_min, 2.0 * e_plus[np.arange(i_min.size), i_min]
+
+
+def _refined_gap(phi_a, phi_b, i_min, coarse, k: np.ndarray):
+    """Gap and its location per pair: the coarse minimum from :func:`_coarse_gap`
+    refined by the bounded Brent search within one grid step, all pairs at once."""
     k_min = k[i_min]
     dk = 2.0 * math.pi / k.size
     x, fun = _bounded_brent(_splitting, k_min - dk, k_min + dk, phi_a, phi_b)
@@ -213,15 +218,39 @@ def _refined_gap(phi_a: np.ndarray, phi_b: np.ndarray, e_plus: np.ndarray, k: np
     return gap, gap_k
 
 
+def _wrap(increments: np.ndarray) -> np.ndarray:
+    """``(increments + pi) % 2pi - pi`` in place, bit for bit, for increments in
+    [-2pi, 2pi] (differences of ``arctan2`` angles).
+
+    ``x = increments + pi`` lies in [-pi, 3pi], where ``%`` adds 2pi below 0 and
+    subtracts it from 2pi on; both masks are read off the unwrapped ``x``, since
+    a tiny negative ``x`` rounds to exactly 2pi under ``x + 2pi`` and stays there.
+    """
+    x = np.add(increments, math.pi, out=increments)
+    low, high = x < 0.0, x >= 2.0 * math.pi
+    np.add(x, 2.0 * math.pi, out=x, where=low)
+    np.subtract(x, 2.0 * math.pi, out=x, where=high)
+    return np.subtract(x, math.pi, out=x)
+
+
 def _winding(ta, tb, k):
     """Winding turns and minimum radius of the d(k) curve along the last axis."""
     d_x = ta + tb * np.cos(k)
     d_y = tb * np.sin(k)
     angles = np.arctan2(d_y, d_x)
-    increments = np.diff(angles, axis=-1, append=angles[..., :1])
-    increments = (increments + math.pi) % (2.0 * math.pi) - math.pi
-    turns = increments.sum(axis=-1) / (2.0 * math.pi)
-    return turns, np.hypot(d_x, d_y).min(axis=-1)
+    increments = np.empty_like(angles)
+    np.subtract(angles[..., 1:], angles[..., :-1], out=increments[..., :-1])
+    np.subtract(angles[..., :1], angles[..., -1:], out=increments[..., -1:])
+    turns = _wrap(increments).sum(axis=-1) / (2.0 * math.pi)
+    # libm's hypot costs ~20 ns a point, so it runs only where the squared
+    # radius is within a relative 1e-12 of its row minimum; both err by a few
+    # ulps, so the smallest hypot lies there (1e-300 covers subnormal squares)
+    r2 = np.multiply(d_x, d_x, out=angles)
+    r2 += np.multiply(d_y, d_y, out=increments)
+    near = r2 <= r2.min(axis=-1, keepdims=True) * (1.0 + 1e-12) + 1e-300
+    radius = np.full_like(r2, np.inf)
+    radius[near] = np.hypot(d_x[near], d_y[near])
+    return turns, radius.min(axis=-1)
 
 
 def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
@@ -241,7 +270,7 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     abs_tb = hopping_magnitude(phi_b, k)
     e_plus = dispersion(abs_ta, abs_tb, k)
     gap, gap_k = _refined_gap(np.array([phi_a], dtype=float), np.array([phi_b], dtype=float),
-                              e_plus[None], k)
+                              *_coarse_gap(e_plus[None]), k)
     return BandResult(
         k_grid=k,
         e_plus=e_plus,
@@ -295,7 +324,8 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     Each point gets the gap of :func:`band_structure` and the winding of
     :func:`winding_number` at the same ``n_k``, bit for bit.  ``|t(phi, k)|``
     is tabulated in one call over the distinct phases; the splitting, gap
-    refinement and winding then run over blocks of pairs at once.
+    minimum and winding then run over blocks of ``_BLOCK_FLOATS // n_k``
+    pairs, and one lockstep Brent search refines the gaps of all pairs.
     """
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
@@ -309,16 +339,16 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     row_a, row_b = which[: phi_a_grid.size], which[phi_a_grid.size :]
 
     shape = (phi_a_grid.size, phi_b_grid.size)
-    n_pairs = phi_a_grid.size * phi_b_grid.size
-    gap = np.empty(n_pairs)
-    turns = np.empty(n_pairs)
-    min_radius = np.empty(n_pairs)
-    for start in range(0, n_pairs, _PAIR_BLOCK):
-        pairs = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))
-        i, j = np.divmod(pairs, phi_b_grid.size)
-        ta, tb = table[row_a[i]], table[row_b[j]]
-        gap[pairs], _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], dispersion(ta, tb, k), k)
+    i, j = np.divmod(np.arange(phi_a_grid.size * phi_b_grid.size), phi_b_grid.size)
+    i_min = np.empty(i.size, dtype=np.intp)
+    coarse, turns, min_radius = np.empty((3, i.size))
+    block = max(1, _BLOCK_FLOATS // n_k)
+    for start in range(0, i.size, block):
+        pairs = slice(start, start + block)
+        ta, tb = table[row_a[i[pairs]]], table[row_b[j[pairs]]]
+        i_min[pairs], coarse[pairs] = _coarse_gap(dispersion(ta, tb, k))
         turns[pairs], min_radius[pairs] = _winding(ta, tb, k)
+    gap, _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], i_min, coarse, k)
 
     nu = np.round(turns) + 0.0  # + 0.0: -0.0 -> 0.0, as round() gives
     closed = (min_radius < _MIN_RADIUS) | (np.abs(turns - nu) > _INTEGER_SLACK)

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from diamondwalk import bands
 from diamondwalk import (
     GapClosed,
     band_structure,
@@ -145,6 +149,9 @@ def test_phase_diagram_rejects_empty_grid():
 GRID_9 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
 GRID_16 = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
 GRID_5 = np.linspace(0.3, 2 * np.pi - 0.3, 5)
+GRID_11 = np.linspace(0.0, 2 * np.pi, 11, endpoint=False)
+GRID_13 = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
+GRID_17 = np.linspace(0.0, 2 * np.pi, 17, endpoint=False)
 RANDOM_PHASES = np.random.default_rng(2024).uniform(0.0, 2 * np.pi, size=(2, 10))
 
 
@@ -167,8 +174,12 @@ def assert_bits_equal(got, want, label):
         ([0.0], GRID_16, 128),  # the phi = 0 row holds the removable points
         ([0.0], GRID_16, 512),
         (RANDOM_PHASES[0], RANDOM_PHASES[1], 512),
+        # across block seams: 143 pairs in blocks of 64 + 64 + 15, 289 in 256 + 33
+        (GRID_13, GRID_11, 512),
+        (GRID_17, GRID_17, 128),
     ],
-    ids=["9-128", "9-512", "16-128", "16-512", "5-128", "row0-128", "row0-512", "random-512"],
+    ids=["9-128", "9-512", "16-128", "16-512", "5-128", "row0-128", "row0-512", "random-512",
+         "13x11-512", "17-128"],
 )
 def test_phase_diagram_matches_per_point_oracle(phi_a, phi_b, n_k):
     got = phase_diagram(phi_a, phi_b, n_k)
@@ -210,3 +221,83 @@ def test_random_pairs_match_per_point_oracle():
 def test_phase_diagram_rejects_coarse_k_grid():
     with pytest.raises(ValueError, match="n_k"):
         phase_diagram([1.0], [2.0], n_k=32)
+
+
+def test_brent_lanes_match_each_lane_run_alone():
+    # phase_diagram refines every pair in one search, so a lane's bits must not
+    # depend on its neighbours or on when they converge
+    rng = np.random.default_rng(11)
+    n = 40
+    phi_a, phi_b = rng.uniform(0.0, 2 * np.pi, size=(2, n))
+    phi_a[:8] = 0.0
+    phi_b[:4] = 0.0
+    dk = 2 * np.pi / 128
+    centre = rng.integers(0, 128, size=n) * dk
+    # at phi_a = phi_b = 0 the gap closes on the removable point k = pi
+    centre[:4] = np.pi
+    lo, hi = centre - dk, centre + dk
+    x, f = bands._bounded_brent(bands._splitting, lo, hi, phi_a, phi_b)
+    assert np.all(np.abs(x[:4] - np.pi) < 1e-9)
+    for lane in range(n):
+        one = slice(lane, lane + 1)
+        x1, f1 = bands._bounded_brent(bands._splitting, lo[one], hi[one], phi_a[one], phi_b[one])
+        assert_bits_equal(x1, x[one], f"x of lane {lane}")
+        assert_bits_equal(f1, f[one], f"f of lane {lane}")
+
+
+def test_wrap_matches_remainder_bit_for_bit():
+    pi, two_pi = math.pi, 2 * math.pi
+    edges = [pi, -pi, two_pi, -two_pi, 0.0, -0.0]
+    # -pi - ulp: x = inc + pi is -4.4e-16, and x + 2pi rounds to exactly 2pi,
+    # which % keeps (the wrapped increment is +pi)
+    edges += [np.nextafter(v, s) for v in (pi, -pi) for s in (-np.inf, np.inf)]
+    edges += [np.nextafter(two_pi, 0.0), np.nextafter(-two_pi, 0.0)]
+    angles = np.arctan2(*np.random.default_rng(5).normal(size=(2, 4000)))
+    inc = np.concatenate([edges, np.random.default_rng(6).uniform(-two_pi, two_pi, 4000),
+                          np.diff(angles)])
+    want = (inc + pi) % two_pi - pi
+    assert_bits_equal(bands._wrap(inc.copy()), want, "wrapped increments")
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_phase_diagram_peak_memory_is_a_few_blocks(n):
+    # numpy reports its buffers to tracemalloc; (pairs, n_k) temporaries over
+    # more than a few blocks of pairs would take the peak past the bound
+    grid = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    tracemalloc.start()
+    try:
+        phase_diagram(grid, grid, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n_k", [65, 129, 512, 513])
+def test_winding_min_radius_is_the_smallest_hypot(n_k):
+    # _winding takes hypot only near the smallest squared radius; at odd n_k,
+    # constant hoppings put the minimum on two mirror points whose squares and
+    # hypots can order differently; near-closed curves and tiny circles follow
+    rng = np.random.default_rng(n_k)
+    ta = rng.uniform(0.0, 1.0, (600, 1)) * np.ones(n_k)
+    tb = rng.uniform(0.0, 1.0, (600, 1)) * np.ones(n_k)
+    ta[400:] = rng.uniform(0.0, 1.0, (200, n_k))
+    tb[400:500] = ta[400:500] * (1.0 + rng.normal(0.0, 1e-9, (100, n_k)))
+    ta[500:550] = 0.0
+    tb[500:550] = rng.uniform(0.0, 1e-160, (50, 1))  # circles with subnormal squares
+    k = bands._k_grid(n_k)
+    want = np.hypot(ta + tb * np.cos(k), tb * np.sin(k)).min(axis=-1)
+    assert_bits_equal(bands._winding(ta, tb, k)[1], want, "min_radius")
+
+
+def test_min_radius_where_squares_and_hypots_order_differently():
+    # at k index 40 the squared radius is the smaller, at 10 the hypot is
+    abs_ta, abs_tb = np.ones(64), np.zeros(64)
+    abs_ta[[10, 40]] = 0.2482282301895045, 0.6254013533352044
+    abs_tb[[10, 40]] = 0.31750524666346086, 0.675542004584831
+    k = bands._k_grid(64)
+    d_x, d_y = abs_ta + abs_tb * np.cos(k), abs_tb * np.sin(k)
+    assert (d_x * d_x + d_y * d_y).argmin() == 40
+    assert np.hypot(d_x, d_y).argmin() == 10
+    got = winding_from_hoppings(abs_ta, abs_tb, 64).min_radius
+    assert_bits_equal(got, np.hypot(d_x, d_y)[10], "min_radius")

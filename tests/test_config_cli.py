@@ -120,6 +120,14 @@ class TestCli:
         assert payload["nu"] == 1
         assert payload["gap"] > 0
 
+    def test_winding_coarse_grid_is_config_error(self, capsys):
+        assert main(["winding", "--phi-a", "1.0", "--phi-b", "2.0", "--nk", "32"]) == 2
+        assert "n_k must be >= 64" in capsys.readouterr().err
+
+    def test_winding_closed_gap_is_numerical_error(self, capsys):
+        assert main(["winding", "--phi-a", "1.3", "--phi-b", "1.3", "--nk", "256"]) == 3
+        assert "numerical error" in capsys.readouterr().err
+
     def test_sweep_csv_dimensions(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", "4", "--nk", "128", "--out", str(out)]) == 0
