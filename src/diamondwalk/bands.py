@@ -54,9 +54,10 @@ _XATOL = 1e-10
 _MAXITER = 500
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-# floats in each (pairs, n_k) temporary of phase_diagram's block loop: 256 KiB
-# keeps a block's temporaries in L2; on a 32x32 sweep at n_k 512, 2**13 to 2**16
-# ran alike and 2**18 took 1.6-1.8x as long
+# floats in each (pairs, n_k) array of phase_diagram's block workspace.  Every
+# block reuses the one workspace, so its pages stay faulted in, and at 256 KiB
+# per array its four arrays stay in L2; on a 32x32 sweep at n_k 512, 2**13 to
+# 2**17 took 16.5, 14.7, 13.9, 14.6 and 15.2 ms
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -102,7 +103,28 @@ def hamiltonian_k(phi_a: float, phi_b: float, k: float) -> np.ndarray:
 
 def dispersion(ta, tb, k):
     """Upper quasi-energy band ``E_+ = sqrt(ta^2 + tb^2 + 2 ta tb cos k)``."""
-    return np.sqrt(np.maximum(ta**2 + tb**2 + 2.0 * ta * tb * np.cos(k), 0.0))
+    # a leading axis of 1 keeps each row an array when all three are scalars
+    work = np.empty((4, 1, *np.broadcast_shapes(np.shape(ta), np.shape(tb), np.shape(k))))
+    work[0], work[1], work[2], work[3] = ta, tb, ta**2, tb**2
+    return _dispersion(work, np.cos(k))[0]
+
+
+def _dispersion(work: np.ndarray, cos_k) -> np.ndarray:
+    """``E_+`` in place: ``work`` holds ``ta, tb, ta^2, tb^2`` along its first
+    axis; ``work[2]`` receives and returns ``E_+`` and ``work[3]`` is scratch.
+
+    The order of operations is that of ``ta**2 + tb**2 + 2.0 * ta * tb * cos k``;
+    the callers square, since a scalar's ``** 2`` is libm pow and an array's is
+    ``x * x``, which differ in the last bit for about 0.1% of inputs.
+    """
+    ta, tb, out, tmp = work
+    out += tmp
+    np.multiply(2.0, ta, out=tmp)
+    tmp *= tb
+    tmp *= cos_k
+    out += tmp
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _k_grid(n_k: int) -> np.ndarray:
@@ -111,13 +133,10 @@ def _k_grid(n_k: int) -> np.ndarray:
 
 def _splitting(x: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
     """Band splitting ``2 E_+`` at one k per lane, squaring as a scalar float does."""
-    n = x.size
     t = hopping_magnitude(np.concatenate([phi_a, phi_b]), np.concatenate([x, x]))
-    # a scalar float's ** 2 is libm pow, as is float_power's loop; the array
-    # x**2 is x*x, which differs in the last bit for about 0.1% of inputs
-    sq = np.float_power(t, 2.0)
-    ta, tb = t[:n], t[n:]
-    return 2.0 * np.sqrt(np.maximum(sq[:n] + sq[n:] + 2.0 * ta * tb * np.cos(x), 0.0))
+    # float_power's loop is libm pow, as a scalar float's ** 2 is
+    work = np.concatenate([t, np.float_power(t, 2.0)]).reshape(4, x.size)
+    return 2.0 * _dispersion(work, np.cos(x))
 
 
 def _bounded_brent(func, lo: np.ndarray, hi: np.ndarray, *args: np.ndarray):
@@ -233,24 +252,29 @@ def _wrap(increments: np.ndarray) -> np.ndarray:
     return np.subtract(x, math.pi, out=x)
 
 
-def _winding(ta, tb, k):
-    """Winding turns and minimum radius of the d(k) curve along the last axis."""
-    d_x = ta + tb * np.cos(k)
-    d_y = tb * np.sin(k)
-    angles = np.arctan2(d_y, d_x)
-    increments = np.empty_like(angles)
-    np.subtract(angles[..., 1:], angles[..., :-1], out=increments[..., :-1])
-    np.subtract(angles[..., :1], angles[..., -1:], out=increments[..., -1:])
+def _winding(work: np.ndarray, cos_k, sin_k):
+    """Winding turns and minimum radius of each row's d(k) curve.
+
+    ``work`` is ``(4, rows, n_k)``: ``work[0]`` and ``work[1]`` hold ``ta`` and
+    ``tb`` on entry, and all four rows are overwritten.
+    """
+    ta, tb, increments, d_y = work
+    np.multiply(tb, sin_k, out=d_y)
+    d_x = np.multiply(tb, cos_k, out=tb)
+    d_x += ta
+    angles = np.arctan2(d_y, d_x, out=ta)
+    np.subtract(angles[:, 1:], angles[:, :-1], out=increments[:, :-1])
+    np.subtract(angles[:, :1], angles[:, -1:], out=increments[:, -1:])
     turns = _wrap(increments).sum(axis=-1) / (2.0 * math.pi)
     # libm's hypot costs ~20 ns a point, so it runs only where the squared
     # radius is within a relative 1e-12 of its row minimum; both err by a few
     # ulps, so the smallest hypot lies there (1e-300 covers subnormal squares)
     r2 = np.multiply(d_x, d_x, out=angles)
     r2 += np.multiply(d_y, d_y, out=increments)
-    near = r2 <= r2.min(axis=-1, keepdims=True) * (1.0 + 1e-12) + 1e-300
-    radius = np.full_like(r2, np.inf)
-    radius[near] = np.hypot(d_x[near], d_y[near])
-    return turns, radius.min(axis=-1)
+    row, col = np.nonzero(r2 <= r2.min(axis=-1, keepdims=True) * (1.0 + 1e-12) + 1e-300)
+    min_radius = np.full(r2.shape[0], np.inf)
+    np.minimum.at(min_radius, row, np.hypot(d_x[row, col], d_y[row, col]))
+    return turns, min_radius
 
 
 def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
@@ -293,16 +317,15 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
-    ta = np.broadcast_to(abs_ta, k.shape).astype(float)
-    tb = np.broadcast_to(abs_tb, k.shape).astype(float)
-
-    turns, min_radius = _winding(ta, tb, k)
-    min_radius = float(min_radius)
+    work = np.empty((4, 1, n_k))
+    work[0], work[1] = abs_ta, abs_tb
+    turns, min_radius = _winding(work, np.cos(k), np.sin(k))
+    min_radius = float(min_radius[0])
     if min_radius < _MIN_RADIUS:
         raise GapClosed(
             f"d(k) curve passes within {min_radius:.2e} of the origin; winding undefined"
         )
-    turns = float(turns)
+    turns = float(turns[0])
     nu = round(turns)
     if abs(turns - nu) > _INTEGER_SLACK:
         raise GapClosed(
@@ -316,6 +339,33 @@ def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult
     """Winding number of the chain with phase shifts (phi_a, phi_b)."""
     k = _k_grid(n_k)
     return winding_from_hoppings(hopping_magnitude(phi_a, k), hopping_magnitude(phi_b, k), n_k)
+
+
+def _scan_blocks(table: np.ndarray, row_a: np.ndarray, row_b: np.ndarray, k: np.ndarray):
+    """Coarse gap and winding of each pair ``(table[row_a], table[row_b])``.
+
+    The pairs run in blocks of ``_BLOCK_FLOATS // n_k`` through one workspace,
+    allocated here once, so no block faults in fresh pages; it is freed on
+    return, before the gap search.
+    """
+    n, n_k = row_a.size, k.size
+    cos_k, sin_k = np.cos(k), np.sin(k)
+    i_min = np.empty(n, dtype=np.intp)
+    coarse, turns, min_radius = np.empty((3, n))
+    block = max(1, _BLOCK_FLOATS // n_k)
+    workspace = np.empty((4, min(block, n), n_k))
+    for start in range(0, n, block):
+        pairs = slice(start, min(start + block, n))
+        work = workspace[:, : pairs.stop - start]
+        ta, tb, sq_a, sq_b = work
+        # mode="clip" writes straight into out; the default "raise" buffers it
+        np.take(table, row_a[pairs], axis=0, out=ta, mode="clip")
+        np.take(table, row_b[pairs], axis=0, out=tb, mode="clip")
+        np.multiply(ta, ta, out=sq_a)
+        np.multiply(tb, tb, out=sq_b)
+        i_min[pairs], coarse[pairs] = _coarse_gap(_dispersion(work, cos_k))
+        turns[pairs], min_radius[pairs] = _winding(work, cos_k, sin_k)
+    return i_min, coarse, turns, min_radius
 
 
 def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
@@ -336,20 +386,12 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     k = _k_grid(n_k)
     phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
     table = hopping_magnitude(phases[:, None], k)
-    row_a, row_b = which[: phi_a_grid.size], which[phi_a_grid.size :]
-
-    shape = (phi_a_grid.size, phi_b_grid.size)
     i, j = np.divmod(np.arange(phi_a_grid.size * phi_b_grid.size), phi_b_grid.size)
-    i_min = np.empty(i.size, dtype=np.intp)
-    coarse, turns, min_radius = np.empty((3, i.size))
-    block = max(1, _BLOCK_FLOATS // n_k)
-    for start in range(0, i.size, block):
-        pairs = slice(start, start + block)
-        ta, tb = table[row_a[i[pairs]]], table[row_b[j[pairs]]]
-        i_min[pairs], coarse[pairs] = _coarse_gap(dispersion(ta, tb, k))
-        turns[pairs], min_radius[pairs] = _winding(ta, tb, k)
+    row_a, row_b = which[: phi_a_grid.size][i], which[phi_a_grid.size :][j]
+    i_min, coarse, turns, min_radius = _scan_blocks(table, row_a, row_b, k)
     gap, _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], i_min, coarse, k)
 
+    shape = (phi_a_grid.size, phi_b_grid.size)
     nu = np.round(turns) + 0.0  # + 0.0: -0.0 -> 0.0, as round() gives
     closed = (min_radius < _MIN_RADIUS) | (np.abs(turns - nu) > _INTEGER_SLACK)
     nu[closed] = np.nan

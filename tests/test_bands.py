@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamondwalk
 from diamondwalk import bands
 from diamondwalk import (
     GapClosed,
@@ -273,11 +277,40 @@ def test_phase_diagram_peak_memory_is_a_few_blocks(n):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("n_k", [65, 129, 512, 513])
-def test_winding_min_radius_is_the_smallest_hypot(n_k):
+def test_phase_diagram_blocks_fault_in_no_fresh_pages():
+    # the blocks share one workspace.  Blocks that allocated their own 256 KiB
+    # temporaries took 1,300-18,500 minor faults per call on this grid,
+    # depending on the heap's layout (which decides whether glibc hands freed
+    # pages back); the workspace takes under 500 once two calls have settled
+    # glibc's thresholds.  A fresh interpreter keeps the test runner's heap out
+    code = (
+        "import resource, numpy as np; from diamondwalk import phase_diagram\n"
+        "grid = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)\n"
+        "phase_diagram(grid, grid, 512)\n"
+        "phase_diagram(grid, grid, 512)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "phase_diagram(grid, grid, 512)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(diamondwalk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
+@pytest.mark.parametrize("n_k,workspace", [
+    *(pytest.param(n_k, "fresh", id=str(n_k)) for n_k in (65, 129, 512, 513)),
+    *(pytest.param(n_k, "reused", id=f"{n_k}-reused") for n_k in (65, 129, 512, 513)),
+])
+def test_winding_min_radius_is_the_smallest_hypot(n_k, workspace):
     # _winding takes hypot only near the smallest squared radius; at odd n_k,
     # constant hoppings put the minimum on two mirror points whose squares and
-    # hypots can order differently; near-closed curves and tiny circles follow
+    # hypots can order differently; near-closed curves and tiny circles follow.
+    # "reused" runs in the leading rows of a larger workspace that an earlier
+    # call left dirty, as phase_diagram's last block does
     rng = np.random.default_rng(n_k)
     ta = rng.uniform(0.0, 1.0, (600, 1)) * np.ones(n_k)
     tb = rng.uniform(0.0, 1.0, (600, 1)) * np.ones(n_k)
@@ -286,8 +319,20 @@ def test_winding_min_radius_is_the_smallest_hypot(n_k):
     ta[500:550] = 0.0
     tb[500:550] = rng.uniform(0.0, 1e-160, (50, 1))  # circles with subnormal squares
     k = bands._k_grid(n_k)
-    want = np.hypot(ta + tb * np.cos(k), tb * np.sin(k)).min(axis=-1)
-    assert_bits_equal(bands._winding(ta, tb, k)[1], want, "min_radius")
+    d_x, d_y = ta + tb * np.cos(k), tb * np.sin(k)
+    angles = np.arctan2(d_y, d_x)
+    increments = np.diff(angles, append=angles[:, :1]) + math.pi
+    want_turns = (increments % (2 * math.pi) - math.pi).sum(axis=-1) / (2 * math.pi)
+    if workspace == "fresh":
+        work = np.empty((4, 600, n_k))
+    else:
+        work = rng.uniform(0.0, 1.0, (4, 700, n_k))
+        bands._winding(work, np.cos(k), np.sin(k))
+        work = work[:, :600]
+    work[0], work[1] = ta, tb
+    turns, min_radius = bands._winding(work, np.cos(k), np.sin(k))
+    assert_bits_equal(turns, want_turns, "turns")
+    assert_bits_equal(min_radius, np.hypot(d_x, d_y).min(axis=-1), "min_radius")
 
 
 def test_min_radius_where_squares_and_hypots_order_differently():
