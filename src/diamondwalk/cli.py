@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bands as bands_mod
 from . import walk as walk_mod
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, parse_config
 from .diamond import (
     NoConventionMatches,
     SingularSystem,
@@ -154,8 +154,8 @@ def _walk_summary(obs: walk_mod.WalkObservables) -> dict:
     }
 
 
-def _run_walk(config: RunConfig, steps: int, cell: int, subsite: str, direction: str):
-    graph = build_lattice(config.lattice_spec())
+def _run_walk(spec: LatticeSpec, steps: int, cell: int, subsite: str, direction: str):
+    graph = build_lattice(spec)
     report = audit_graph(graph)
     if not report.ok:
         raise AssertionError("graph audit failed: " + "; ".join(report.violations))
@@ -175,7 +175,7 @@ def cmd_walk(args) -> int:
     steps = args.steps if args.steps is not None else config.steps
     if steps is None:
         raise ConfigError("step count missing: pass --steps or add \"steps\" to the config")
-    obs = _run_walk(config, steps, args.cell, args.subsite, args.direction)
+    obs = _run_walk(config.lattice_spec(), steps, args.cell, args.subsite, args.direction)
     _emit(_walk_csv(obs), args.out)
     if args.summary:
         _emit(_json_text(_walk_summary(obs)), args.summary)

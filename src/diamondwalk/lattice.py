@@ -157,6 +157,10 @@ class LatticeSpec:
         return 2 * self.half_length + 1
 
     @property
+    def n_diamonds(self) -> int:
+        return 2 * self.n_cells
+
+    @property
     def substeps_per_hop(self) -> int:
         """Sub-steps from entering one diamond to entering the next."""
         return self.internal_length + self.external_length
@@ -166,9 +170,10 @@ class LatticeSpec:
 class LatticeGraph:
     """The built chain and the read-only tables the walk and the audit read.
 
-    Every table is read off the slot layout of the module docstring: a state
-    is ``state[:n_int].reshape(n_diamonds, 2, 2, L_int)`` (diamond,
-    top/bottom, direction, position) followed by
+    Every table is read off the slot layout of the module docstring, with
+    ``n_diamonds = spec.n_diamonds`` (the graph does not restate the spec's
+    sizes): a state is ``state[:n_int].reshape(n_diamonds, 2, 2, L_int)``
+    (diamond, top/bottom, direction, position) followed by
     ``state[n_int:].reshape(n_diamonds + 1, 2, L_ext)`` (external edge,
     direction, position).  Vertices and mirrors read the last slot of an edge
     and write the first slot of the same edge traversed the other way; the
@@ -178,10 +183,8 @@ class LatticeGraph:
     """
 
     spec: LatticeSpec
-    n_cells: int
-    n_diamonds: int
     vertex_matrix: np.ndarray  # shared 3x3 unitary (theta is global)
-    dim: int
+    dim: int  # slots in a state; audit_graph checks it against the spec's layout
     in_slot: np.ndarray  # (2 * n_diamonds, 3) last slot of the edge arriving at each port
     out_slot: np.ndarray  # (2 * n_diamonds, 3) first slot of the edge leaving each port
     out_phase: np.ndarray  # (2 * n_diamonds, 3) phase applied on entering the leaving edge
@@ -209,17 +212,16 @@ class LatticeGraph:
 
 
 def _n_slots(spec: LatticeSpec) -> int:
-    n_diamonds = 2 * spec.n_cells
+    n_diamonds = spec.n_diamonds
     return 4 * n_diamonds * spec.internal_length + 2 * (n_diamonds + 1) * spec.external_length
 
 
 def _slot_views(slots: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The internal view ``[diamond, top/bottom, direction, position]`` and the
     external view ``[edge, direction, position]`` of a per-slot array."""
-    n_diamonds = 2 * spec.n_cells
-    n_internal = 4 * n_diamonds * spec.internal_length
-    return (slots[:n_internal].reshape(n_diamonds, 2, 2, spec.internal_length),
-            slots[n_internal:].reshape(n_diamonds + 1, 2, spec.external_length))
+    n_internal = 4 * spec.n_diamonds * spec.internal_length
+    return (slots[:n_internal].reshape(spec.n_diamonds, 2, 2, spec.internal_length),
+            slots[n_internal:].reshape(spec.n_diamonds + 1, 2, spec.external_length))
 
 
 def _window_slots(graph: LatticeGraph,
@@ -229,12 +231,12 @@ def _window_slots(graph: LatticeGraph,
     ``lo .. hi + 1`` (the external edges around them) of the external view,
     each a contiguous range of the state.
     Raises :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
-    last = graph.n_diamonds - 1
+    last = graph.spec.n_diamonds - 1
     lo, hi = (0, last) if window is None else map(operator.index, window)
     if not 0 <= lo <= hi <= last:
         raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
     internal, external = graph.spec.internal_length, graph.spec.external_length
-    external_base = 4 * graph.n_diamonds * internal
+    external_base = 4 * (last + 1) * internal
     return (lo, hi, slice(4 * lo * internal, 4 * (hi + 1) * internal),
             slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
 
@@ -252,8 +254,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     profiles that do not cover all cells.  Rebuilding from an equal spec yields
     identical arrays.
     """
-    n_cells = spec.n_cells
-    n_diamonds = 2 * n_cells
+    n_diamonds = spec.n_diamonds
     dim = _n_slots(spec)
     internal, external = _slot_views(np.arange(dim), spec)
 
@@ -299,8 +300,6 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
 
     return LatticeGraph(
         spec=spec,
-        n_cells=n_cells,
-        n_diamonds=n_diamonds,
         vertex_matrix=vertex_unitary(spec.theta),
         dim=dim,
         **tables,
@@ -335,7 +334,7 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
     """
     violations: list[str] = []
     spec = graph.spec
-    n_diamonds = 2 * spec.n_cells
+    n_diamonds = spec.n_diamonds
     if graph.dim != _n_slots(spec):
         violations.append(f"{graph.dim} slots, but the spec's layout has {_n_slots(spec)}")
 
@@ -388,7 +387,7 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
         violations.append("out_phase differs from the phase of the edge each port writes")
 
     # every slot's probability is attributed to a cell of the chain
-    if np.any((graph.slot_cell < 0) | (graph.slot_cell >= graph.n_cells)):
+    if np.any((graph.slot_cell < 0) | (graph.slot_cell >= spec.n_cells)):
         violations.append("slot owner cell out of range")
 
     counts = {

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SUBSITES, LatticeGraph, _window_slots
+from .lattice import LatticeGraph, _window_slots
 
 __all__ = [
     "LightConeOverflow",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _END_LEAK_TOL = 1e-9
-_SUM_BLOCK = 1 << 16  # floats in evolve's row-block buffer (512 KiB)
 
 
 class LightConeOverflow(RuntimeError):
@@ -139,7 +138,7 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     # outside the window, which reads only zeros (or by the left mirror)
     new[external.start] = 0
     rows = slice(2 * lo, 2 * hi + 2)
-    ends = slice(lo != 0, 1 + (hi == graph.n_diamonds - 1))  # mirrors the window reaches
+    ends = slice(lo != 0, 1 + (hi == graph.spec.n_diamonds - 1))  # mirrors the window reaches
     incoming = old[graph.in_slot[rows]]                # (window vertices, 3)
     outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
     new[graph.out_slot[rows]] = outgoing * graph.out_phase[rows]
@@ -161,7 +160,7 @@ def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
     _, _, internal, external = _window_slots(graph, window)
     amplitudes, slot_cell = state.amplitudes, graph.slot_cell
     p = np.bincount(slot_cell[internal], weights=np.abs(amplitudes[internal]) ** 2,
-                    minlength=graph.n_cells)
+                    minlength=graph.spec.n_cells)
     # the external slots follow the internal ones in the full state: add.at adds
     # them one at a time in that order, as one bincount over both would
     np.add.at(p, slot_cell[external], np.abs(amplitudes[external]) ** 2)
@@ -180,7 +179,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
     unobservable.  Holds ``p_cell`` (exactly zero outside the light cone), two
-    state-sized buffers and one row block of at most 512 KiB for the moments.
+    state-sized buffers and one row buffer for the moments.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
@@ -202,36 +201,36 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # sooner than a record after that (likewise at hi).
     # Both buffers stay zero outside the window: a windowed step rewrites
     # every slot of the window, and the window never shrinks.
-    last = graph.n_diamonds - 1
+    last = graph.spec.n_diamonds - 1
     cells = graph.slot_cell[nonzero]
     lo, hi = 2 * int(cells.min()), 2 * int(cells.max()) + 1
     state = WalkState(amplitudes=state.amplitudes.copy())
     spare = np.zeros_like(state.amplitudes)
 
     m = graph.cells.astype(float)
+    m2 = m**2
     n_rows = n_record + 1
-    p_cell = np.empty((n_rows, graph.n_cells))
+    p_cell = np.empty((n_rows, m.size))
+    # per record, through one row buffer: the total and the sums of p m and
+    # p m^2, each over the full row (a sum over the window changes the bits)
+    sums, buf = np.empty((3, n_rows)), np.empty_like(m)
     for r in range(n_rows):
         if r > 0:
             lo, hi = max(lo - 1, 0), min(hi + 1, last)
             for _ in range(substeps_per_record):
                 state, spare = step(state, graph, window=(lo, hi), out=spare), state.amplitudes
-        p_cell[r] = cell_probabilities(graph, state, window=(lo, hi))
-        if p_cell[r, 0] + p_cell[r, -1] > _END_LEAK_TOL:
+        p_cell[r] = row = cell_probabilities(graph, state, window=(lo, hi))
+        sums[:, r] = (row.sum(), np.multiply(row, m, out=buf).sum(),
+                      np.multiply(row, m2, out=buf).sum())
+        if row[0] + row[-1] > _END_LEAK_TOL:
             raise LightConeOverflow(
-                f"end-cell probability {p_cell[r, 0] + p_cell[r, -1]:.3e} at record {r}; "
+                f"end-cell probability {row[0] + row[-1]:.3e} at record {r}; "
                 "increase half_length (see auto_half_length)"
             )
 
-    # Row blocks through one reused buffer: each row sums exactly as a row of
-    # the full-size temporary ``p_cell * w`` would, without that temporary.
-    total = p_cell.sum(axis=1)
-    block = max(_SUM_BLOCK // graph.n_cells, 1)
-    buf = np.empty((min(block, n_rows), graph.n_cells))
-    mean, second = (np.concatenate([np.multiply(rows, w, out=buf[: len(rows)]).sum(axis=1)
-                                    for rows in np.split(p_cell, range(block, n_rows, block))])
-                    / total for w in (m, m**2))
-    var = second - mean**2
+    total, first, second = sums
+    mean = first / total
+    var = second / total - mean**2
     sigma = np.sqrt(np.maximum(var, 0.0))
     half = graph.half_length
     p_boundary = p_cell[:, half - 1 : half + 2].sum(axis=1)

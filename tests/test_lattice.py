@@ -35,7 +35,7 @@ def test_counts_m1():
 def test_every_vertex_has_three_wired_ports():
     g = small_graph(half_length=1)
     assert np.all(g.in_slot >= 0) and np.all(g.out_slot >= 0)
-    assert g.in_slot.shape == g.out_slot.shape == g.out_phase.shape == (2 * g.n_diamonds, 3)
+    assert g.in_slot.shape == g.out_slot.shape == g.out_phase.shape == (2 * g.spec.n_diamonds, 3)
 
 
 def test_counts_m50():
@@ -91,13 +91,13 @@ def test_slot_cell_counts_gap_amplitude_toward_the_diamond_ahead(internal, exter
                        internal_length=internal, external_length=external)
     g = build_lattice(spec)
     expected = np.empty(g.dim, dtype=int)
-    for d in range(g.n_diamonds):
+    for d in range(g.spec.n_diamonds):
         for e in (2 * d, 2 * d + 1):
             for direction in (0, 1):
                 expected[slots(spec, directed(e, direction))] = d // 2
-    for j in range(g.n_diamonds + 1):
+    for j in range(g.spec.n_diamonds + 1):
         e = external_edge(spec, j)
-        expected[slots(spec, directed(e, 0))] = min(j, g.n_diamonds - 1) // 2
+        expected[slots(spec, directed(e, 0))] = min(j, g.spec.n_diamonds - 1) // 2
         expected[slots(spec, directed(e, 1))] = max(j - 1, 0) // 2
     assert np.array_equal(g.slot_cell, expected)
 
@@ -153,7 +153,7 @@ def test_audit_flags_deleted_adjacency():
 
 def test_audit_flags_slot_cell_out_of_range():
     g = small_graph(half_length=2)
-    for bad_cell in (-1, g.n_cells):
+    for bad_cell in (-1, g.spec.n_cells):
         broken_cells = g.slot_cell.copy()
         broken_cells[7] = bad_cell
         report = audit_graph(dataclasses.replace(g, slot_cell=broken_cells))

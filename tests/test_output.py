@@ -80,7 +80,7 @@ def test_walk_inside_its_chain_bytes_are_pinned(tmp_path, monkeypatch):
 
     def recording_step(state, graph, *, window=None, out=None):
         windows.append(window)
-        chains.add(graph.n_diamonds)
+        chains.add(graph.spec.n_diamonds)
         return step(state, graph, window=window, out=out)
 
     monkeypatch.setattr(walk_mod, "step", recording_step)

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import pkgutil
+from pathlib import Path
 
 import diamondwalk
 from diamondwalk import bands, config, diamond, lattice, multiport, walk
@@ -25,3 +27,15 @@ def test_each_module_defines_the_names_it_lists():
             value = vars(module)[name]
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, (module.__name__, name)
+
+
+def test_every_module_uses_the_names_it_imports():
+    # __init__'s star imports re-export, and __future__ imports set compiler flags
+    for path in sorted(Path(diamondwalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names if alias.name != "*"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

@@ -173,7 +173,7 @@ def plain_records(state, graph, n_record):
     rows = []
     while True:
         rows.append(np.bincount(graph.slot_cell, weights=np.abs(amplitudes) ** 2,
-                                minlength=graph.n_cells))
+                                minlength=graph.spec.n_cells))
         leak = rows[-1][0] + rows[-1][-1]
         if leak > 1e-9:
             return np.array(rows), f"end-cell probability {leak:.3e} at record {len(rows) - 1};"
@@ -237,7 +237,7 @@ def test_windowed_walk_matches_plain_walk_next_to_the_chain_ends(internal, exter
     half = 12
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
                   internal, external)
-    last = g.n_diamonds - 1
+    last = g.spec.n_diamonds - 1
     for cell, direction in ((1 - half, "left"), (half - 1, "right")):
         for subsite in ("a", "b"):
             state = initial_state(g, cell, subsite, direction)
@@ -269,7 +269,7 @@ def test_windowed_step_without_out_matches_plain_step_and_is_zero_outside(intern
     half = 20
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
                   internal, external)
-    last = g.n_diamonds - 1
+    last = g.spec.n_diamonds - 1
     d = g.diamond_index(0, "a")
     rng = np.random.default_rng(2017)
     for window in ((d - 2, d + 2), (0, 5), (last - 5, last), (0, last), None):
@@ -290,7 +290,7 @@ def test_windowed_step_without_out_matches_plain_step_and_is_zero_outside(intern
 @pytest.mark.parametrize("window", [(-1, 5), (0, 18), (0, 21), (6, 5)])
 def test_window_out_of_range_is_rejected_before_any_write(window):
     g = graph_for(4)
-    assert g.n_diamonds == 18
+    assert g.spec.n_diamonds == 18
     state = initial_state(g, 0, "a", "right")
     out = np.full(g.dim, np.nan, dtype=complex)
     with pytest.raises(ValueError, match="window"):
@@ -362,7 +362,7 @@ def test_window_grows_one_diamond_on_each_side_per_record(monkeypatch, internal,
     half = 6
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
                   internal, external)
-    last, substeps = g.n_diamonds - 1, g.spec.substeps_per_hop
+    last, substeps = g.spec.n_diamonds - 1, g.spec.substeps_per_hop
     windows = []
 
     def recording_step(state, graph, *, window=None, out=None):
@@ -406,17 +406,14 @@ def test_evolve_rejects_a_zero_or_non_finite_state_before_allocating(value):
     assert peak < amplitudes.nbytes  # neither p_cell nor the state's copy
 
 
-def test_windowed_evolve_matches_plain_walk_over_several_row_blocks():
-    # enough cells that evolve sums its moments in several row blocks, and a
-    # row count that is not a multiple of the block
+def test_windowed_evolve_matches_plain_walk_on_a_long_chain():
+    # rows of 6,001 cells, far wider than the window, whose moments are still
+    # summed over the full row
     g = boundary_graph(3000)
-    n_record = 24
-    block = walk._SUM_BLOCK // g.n_cells
-    assert 1 < block < n_record + 1 and (n_record + 1) % block
-    assert_evolve_matches_plain(initial_state(g, 0, "a", "right"), g, n_record)
+    assert_evolve_matches_plain(initial_state(g, 0, "a", "right"), g, 24)
 
 
-def test_evolve_peak_memory_is_p_cell_two_states_and_one_block():
+def test_evolve_peak_memory_is_p_cell_two_states_and_one_row():
     # numpy reports its buffers to tracemalloc; a temporary the size of p_cell
     # would take the peak past the bound
     g = boundary_graph(1500)
@@ -427,14 +424,15 @@ def test_evolve_peak_memory_is_p_cell_two_states_and_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the row block is at most 512 KiB; the rest of the MiB is small arrays
-    assert peak < obs.p_cell.nbytes + 2 * state.amplitudes.nbytes + 2**20
+    # the moments' row buffer is 24 KiB here; the rest of the 256 KiB is the
+    # cell weights and the window's temporaries (a 21-row block would not fit)
+    assert peak < obs.p_cell.nbytes + 2 * state.amplitudes.nbytes + 2**18
 
 
 def test_evolve_record_zero_only():
     g = graph_for(3)
     obs = evolve(initial_state(g, 0, "a", "right"), g, 0)
-    assert obs.p_cell.shape == (1, g.n_cells)
+    assert obs.p_cell.shape == (1, g.spec.n_cells)
     assert obs.p_cell[0, g.half_length] == pytest.approx(1.0)
 
 
