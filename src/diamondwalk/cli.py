@@ -100,13 +100,14 @@ def _bands_csv(result: bands_mod.BandResult) -> str:
 
 def cmd_scatter(args) -> int:
     scattering = solve_diamond(args.phi, args.k)
+    r, t = complex(scattering.reflection), complex(scattering.transmission)
     closed = transmission_closed_form(args.phi, args.k)
     payload = {
         "phi": args.phi,
         "k": args.k,
-        "r": [scattering.reflection.real, scattering.reflection.imag],
-        "t": [scattering.transmission.real, scattering.transmission.imag],
-        "abs_t": abs(scattering.transmission),
+        "r": [r.real, r.imag],
+        "t": [t.real, t.imag],
+        "abs_t": abs(t),
         "abs_t_closed_form": abs(closed),
     }
     _emit(_json_text(payload), args.out)

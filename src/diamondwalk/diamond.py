@@ -84,21 +84,30 @@ DEFAULT_CONVENTION = EdgeConvention()
 
 @dataclass(frozen=True)
 class DiamondScattering:
-    """S-matrix of one diamond at fixed (phi, k).
+    """S-matrices of one diamond at each (phi, k) lane.
 
-    ``s_matrix`` columns are responses to unit input from the left / right
-    lead: ``[[r_left, t_right_to_left], [t_left_to_right, r_right]]``.
+    ``s_matrix[..., :, :]`` columns are responses to unit input from the left /
+    right lead: ``[[r_left, t_right_to_left], [t_left_to_right, r_right]]``.
     """
 
     s_matrix: np.ndarray
 
     @property
-    def reflection(self) -> complex:
-        return complex(self.s_matrix[0, 0])
+    def reflection(self) -> np.ndarray:
+        return self.s_matrix[..., 0, 0]
 
     @property
-    def transmission(self) -> complex:
-        return complex(self.s_matrix[1, 0])
+    def transmission(self) -> np.ndarray:
+        return self.s_matrix[..., 1, 0]
+
+
+def _product(a, b) -> np.ndarray:
+    """``a * b`` written out as the plain product that ``*`` and ``** 2`` compute on
+    complex scalars; numpy's array multiply loop uses FMAs and rounds differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _closed_form_raw(phi, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,14 +115,8 @@ def _closed_form_raw(phi, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.exp(-1j * phi)
     w = np.exp(-4j * k)
     s = 1.0 + q
-    # (1 + q)^2 written out as the plain product, which is what ** 2 computes
-    # on a complex scalar; numpy's array square and multiply loops use FMAs and
-    # round differently, so an array phi would not match a scalar one
-    s_sq = np.empty(np.shape(s), dtype=complex)
-    s_sq.real = s.real * s.real - s.imag * s.imag
-    s_sq.imag = s.real * s.imag + s.imag * s.real
     num = 4.0 * s * (1.0 - q * w)
-    den = w * s_sq - (3.0 * q * w - 1.0) ** 2
+    den = w * _product(s, s) - (3.0 * q * w - 1.0) ** 2
     return num, den
 
 
@@ -150,13 +153,8 @@ def transmission_closed_form(phi, k):
     return out
 
 
-def solve_diamond(
-    phi: float,
-    k: float,
-    convention: EdgeConvention = DEFAULT_CONVENTION,
-    *,
-    theta: float = DEFAULT_THETA,
-) -> DiamondScattering:
+def solve_diamond(phi, k, convention: EdgeConvention = DEFAULT_CONVENTION, *,
+                  theta: float = DEFAULT_THETA) -> DiamondScattering:
     """Solve the stationary scattering problem of one diamond from first principles.
 
     The unknowns are the six amplitudes leaving the two vertices through their
@@ -167,34 +165,38 @@ def solve_diamond(
     unitary.  Solving the resulting 6x6 linear system for unit input from the
     left and from the right yields the full 2x2 S-matrix.
 
-    Raises :class:`SingularSystem` when the system is rank deficient at the
-    requested (phi, k), which signals an internal bound-state resonance.
+    ``phi`` and ``k`` may be scalars or arrays that broadcast against each
+    other; the systems of all lanes are stacked and solved at once, and every
+    lane equals the call with that lane's scalar ``phi`` and ``k``.
+
+    Raises :class:`SingularSystem`, naming the first such lane, when a system
+    is rank deficient, which signals an internal bound-state resonance.
     """
-    if not (math.isfinite(phi) and math.isfinite(k)):
+    phi, k = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(k, dtype=float))
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(k))):
         raise ValueError("phi and k must be finite")
     u = vertex_unitary(theta)
     edge = np.exp(1j * (k * convention.internal_length + convention.traversal_phase))
-    hop = np.diag([0.0, edge, edge * np.exp(1j * phi)]).astype(complex)
+    hop = np.zeros(phi.shape + (3, 3), dtype=complex)
+    hop[..., 1, 1] = edge
+    hop[..., 2, 2] = _product(edge, np.exp(1j * phi))
 
-    system = np.eye(6, dtype=complex)
+    system = np.broadcast_to(np.eye(6, dtype=complex), phi.shape + (6, 6)).copy()
     coupling = u @ hop
-    system[0:3, 3:6] -= coupling
-    system[3:6, 0:3] -= coupling
+    system[..., 0:3, 3:6] -= coupling
+    system[..., 3:6, 0:3] -= coupling
 
     rhs = np.zeros((6, 2), dtype=complex)
     source = u @ np.array([1.0, 0.0, 0.0], dtype=complex)
     rhs[0:3, 0] = source  # incident from the left lead
     rhs[3:6, 1] = source  # incident from the right lead
 
-    if np.linalg.cond(system) > 1e12:
-        raise SingularSystem(
-            f"scattering system is singular at (phi={phi!r}, k={k!r}); perturb k"
-        )
-    sol = np.linalg.solve(system, rhs)
-
-    s_matrix = np.array(
-        [[sol[0, 0], sol[0, 1]], [sol[3, 0], sol[3, 1]]], dtype=complex
-    )
+    singular = np.linalg.cond(system) > 1e12
+    if np.any(singular):
+        lane = np.argmax(singular)  # the first singular lane in C order
+        raise SingularSystem(f"scattering system is singular at (phi={float(phi.flat[lane])!r}, "
+                             f"k={float(k.flat[lane])!r}); perturb k")
+    s_matrix = np.linalg.solve(system, rhs)[..., [0, 3], :]
     s_matrix.setflags(write=False)
     return DiamondScattering(s_matrix=s_matrix)
 
@@ -219,13 +221,9 @@ def oracle_deviation(
     from the closed form's removable singularities.
     """
     phis, ks = _midpoint_grid(n_phi, n_k)
-    worst = 0.0
-    for phi in phis:
-        t_closed = np.abs(transmission_closed_form(phi, ks))
-        for j, k in enumerate(ks):
-            t_solver = abs(solve_diamond(phi, float(k), convention, theta=theta).transmission)
-            worst = max(worst, abs(t_solver - t_closed[j]))
-    return worst
+    t_solver = np.abs(solve_diamond(phis[:, None], ks, convention, theta=theta).transmission)
+    t_closed = np.abs(transmission_closed_form(phis[:, None], ks))
+    return float(np.abs(t_solver - t_closed).max(initial=0.0))
 
 
 def calibrate_edge_convention(*, theta: float = DEFAULT_THETA) -> EdgeConvention:
@@ -237,15 +235,11 @@ def calibrate_edge_convention(*, theta: float = DEFAULT_THETA) -> EdgeConvention
     :class:`NoConventionMatches` if even the best deviates by more than 1e-6,
     which indicates a construction error rather than a tolerance problem.
     """
-    best: tuple[float, EdgeConvention] | None = None
-    for length in (1, 2, 3, 4):
-        for quarter in range(4):
-            candidate = EdgeConvention(internal_length=length, quarter_turns=quarter)
-            dev = oracle_deviation(candidate, 16, 16, theta=theta)
-            if best is None or dev < best[0]:
-                best = (dev, candidate)
-    assert best is not None
-    dev, convention = best
+    candidates = [EdgeConvention(internal_length=length, quarter_turns=quarter)
+                  for length in (1, 2, 3, 4) for quarter in range(4)]
+    # min keeps the first of equal scores, so the scan order breaks ties
+    dev, convention = min(((oracle_deviation(c, 16, 16, theta=theta), c) for c in candidates),
+                          key=lambda scored: scored[0])
     if dev > 1e-6:
         raise NoConventionMatches(
             f"best candidate {convention} still deviates by {dev:.3e} (> 1.0e-06)"

@@ -211,15 +211,19 @@ class LatticeGraph:
         return 2 * (cell + self.half_length) + SUBSITES.index(subsite)
 
 
+def _n_internal(spec: LatticeSpec) -> int:
+    """Slots of the internal edges, which come first in a state: ``n_int``."""
+    return 4 * spec.n_diamonds * spec.internal_length
+
+
 def _n_slots(spec: LatticeSpec) -> int:
-    n_diamonds = spec.n_diamonds
-    return 4 * n_diamonds * spec.internal_length + 2 * (n_diamonds + 1) * spec.external_length
+    return _n_internal(spec) + 2 * (spec.n_diamonds + 1) * spec.external_length
 
 
 def _slot_views(slots: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The internal view ``[diamond, top/bottom, direction, position]`` and the
     external view ``[edge, direction, position]`` of a per-slot array."""
-    n_internal = 4 * spec.n_diamonds * spec.internal_length
+    n_internal = _n_internal(spec)
     return (slots[:n_internal].reshape(spec.n_diamonds, 2, 2, spec.internal_length),
             slots[n_internal:].reshape(spec.n_diamonds + 1, 2, spec.external_length))
 
@@ -236,7 +240,7 @@ def _window_slots(graph: LatticeGraph,
     if not 0 <= lo <= hi <= last:
         raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
     internal, external = graph.spec.internal_length, graph.spec.external_length
-    external_base = 4 * (last + 1) * internal
+    external_base = _n_internal(graph.spec)
     return (lo, hi, slice(4 * lo * internal, 4 * (hi + 1) * internal),
             slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
 

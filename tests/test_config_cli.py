@@ -105,6 +105,18 @@ class TestCli:
         assert set(payload) == {"phi", "k", "r", "t", "abs_t", "abs_t_closed_form"}
         assert payload["abs_t"] == pytest.approx(payload["abs_t_closed_form"], abs=1e-9)
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--phi", "nan", "--k", "1.1"], 2, "config error: phi and k must be finite"),
+        (["--phi", "0.8", "--k", "inf"], 2, "config error: phi and k must be finite"),
+        (["--phi", "0", "--k", "0"], 3, "numerical error: scattering system is singular at "
+                                        "(phi=0.0, k=0.0)"),
+    ])
+    def test_scatter_bad_point_exit_codes(self, capsys, argv, code, message):
+        assert main(["scatter", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     def test_bands_csv_row_count(self, tmp_path):
         out = tmp_path / "bands.csv"
         assert main(["bands", "--phi-a", "1.0", "--phi-b", "2.0",

@@ -154,6 +154,59 @@ def test_oracle_deviation_small_on_coarse_grid():
     assert oracle_deviation(DEFAULT_CONVENTION, 12, 12) <= 1e-12
 
 
+def test_solver_batch_is_bitwise_a_loop_of_scalar_calls():
+    rng = np.random.default_rng(20)
+    phis = np.concatenate([rng.uniform(-10.0, 10.0, 600), rng.uniform(0.0, 2 * np.pi, 600)])
+    ks = np.concatenate([rng.uniform(-10.0, 10.0, 600), rng.uniform(0.0, 2 * np.pi, 600)])
+    for convention in (DEFAULT_CONVENTION, EdgeConvention(internal_length=3, quarter_turns=2)):
+        batch = solve_diamond(phis, ks, convention).s_matrix
+        loop = np.array([solve_diamond(float(p), float(k), convention).s_matrix
+                         for p, k in zip(phis, ks)])
+        assert batch.shape == loop.shape == (len(phis), 2, 2)
+        assert np.array_equal(bits(batch), bits(loop))
+    # broadcast (phi, 1) against (k,): lane (i, j) is the call at (phis[i], ks[j])
+    grid = solve_diamond(phis[:30, None], ks[:40], DEFAULT_CONVENTION)
+    assert grid.s_matrix.shape == (30, 40, 2, 2)
+    assert grid.transmission.shape == grid.reflection.shape == (30, 40)
+    assert np.array_equal(bits(grid.s_matrix[7, 11]),
+                          bits(solve_diamond(phis[7], ks[11]).s_matrix))
+
+
+def test_solver_batch_names_its_first_singular_lane_as_plain_floats():
+    phi = np.array([[0.3, 1.0, 0.0], [0.0, 2.0, 0.5]])
+    k = np.array([[0.5, 0.2, 0.0], [np.pi / 2, 0.1, 0.4]])
+    with pytest.raises(SingularSystem, match=r"at \(phi=0\.0, k=0\.0\); perturb k$"):
+        solve_diamond(phi, k)
+    with pytest.raises(SingularSystem, match=r"at \(phi=0\.0, k=1\.5707963267948966\)"):
+        solve_diamond(phi[1], k[1])
+
+
+def test_solver_rejects_a_non_finite_lane_before_any_solve(monkeypatch):
+    def no_linalg(*args, **kwargs):
+        raise AssertionError("linear algebra ran on a non-finite input")
+
+    monkeypatch.setattr(np.linalg, "cond", no_linalg)
+    monkeypatch.setattr(np.linalg, "solve", no_linalg)
+    for phi, k in ((np.array([0.3, np.nan, 1.0]), 0.5), (0.4, np.array([[0.1], [np.inf]])),
+                   (float("nan"), 0.5), (0.5, float("-inf"))):
+        with pytest.raises(ValueError, match=r"^phi and k must be finite$"):
+            solve_diamond(phi, k)
+
+
+def test_solver_matches_closed_form_on_a_dense_grid():
+    assert oracle_deviation(DEFAULT_CONVENTION, 256, 256) <= 1e-13
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_solver_matches_closed_form_near_the_removable_points(delta):
+    # the closed form's 0/0 points are phi = 0, k = j pi / 2, where the solver is singular
+    phis = np.array([0.0, delta, -delta])
+    ks = np.array([j * np.pi / 2 + sign * delta for j in range(4) for sign in (-1, 1)])
+    t_solver = np.abs(solve_diamond(phis[:, None], ks).transmission)
+    t_closed = np.abs(transmission_closed_form(phis[:, None], ks))
+    assert np.abs(t_solver - t_closed).max() <= 1e-14
+
+
 def test_wrong_convention_has_large_deviation():
     assert oracle_deviation(EdgeConvention(internal_length=1, quarter_turns=0), 8, 8) > 1e-3
 
