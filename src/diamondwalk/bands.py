@@ -14,10 +14,14 @@ Writing ``H(k) = d(k) . sigma`` gives the planar curve
 
 whose winding about the origin over one Brillouin zone is the integer
 topological invariant: nonzero exactly when the k-dependent hopping dominates
-(|t_b| > |t_a|, for weakly k-dependent magnitudes).  The winding is computed
-by accumulating wrapped angle increments along the sampled curve, which
-avoids differentiating the transmission magnitudes (they are not smooth in
-closed form near the removable points of the transmission formula).
+(|t_b| > |t_a|, for weakly k-dependent magnitudes).  As |t_b| >= 0, d_y has
+the sign of sin k, so the sampled curve can cross the negative x axis only on
+the two grid segments where sin k changes sign, next to k = pi and across
+k = 0; the winding is the signed count of those crossings, which avoids
+differentiating the transmission magnitudes (they are not smooth in closed
+form near the removable points of the transmission formula).  The winding is
+defined only while the gap is open: a gap is closed where the refined gap is
+below 2e-6, that is where |d(k)| comes within 1e-6 of the origin.
 
 An overall 1/N normalisation of the momentum-space Hamiltonian is dropped
 throughout: it rescales all energies uniformly and affects no gap ratio,
@@ -39,7 +43,6 @@ __all__ = [
     "WindingResult",
     "PhaseDiagram",
     "hopping_magnitude",
-    "hamiltonian_k",
     "dispersion",
     "band_structure",
     "winding_from_hoppings",
@@ -48,7 +51,6 @@ __all__ = [
 ]
 
 _MIN_RADIUS = 1e-6
-_INTEGER_SLACK = 0.1
 # gap refinement: k tolerance and iteration cap of the bounded Brent search
 _XATOL = 1e-10
 _MAXITER = 500
@@ -57,7 +59,8 @@ _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 # floats in each (pairs, n_k) array of phase_diagram's block workspace.  Every
 # block reuses the one workspace, so its pages stay faulted in, and at 256 KiB
 # per array its four arrays stay in L2; on a 32x32 sweep at n_k 512, 2**13 to
-# 2**17 took 16.5, 14.7, 13.9, 14.6 and 15.2 ms
+# 2**17 took 4.5, 4.3, 4.3, 4.2 and 4.2 ms (median of 6 rounds of min of 15,
+# 2 vCPU AMD EPYC)
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -93,12 +96,6 @@ class PhaseDiagram:
 def hopping_magnitude(phi, k) -> np.ndarray | float:
     """|t(phi, k)|: the hopping strength contributed by a diamond at phase phi."""
     return np.abs(transmission_closed_form(phi, k))
-
-
-def hamiltonian_k(phi_a: float, phi_b: float, k: float) -> np.ndarray:
-    """2x2 momentum-space Hamiltonian at quasi-momentum k (1/N prefactor dropped)."""
-    off = hopping_magnitude(phi_a, k) + hopping_magnitude(phi_b, k) * np.exp(-1j * k)
-    return np.array([[0.0, off], [np.conj(off), 0.0]], dtype=complex)
 
 
 def dispersion(ta, tb, k):
@@ -237,44 +234,40 @@ def _refined_gap(phi_a, phi_b, i_min, coarse, k: np.ndarray):
     return gap, gap_k
 
 
-def _wrap(increments: np.ndarray) -> np.ndarray:
-    """``(increments + pi) % 2pi - pi`` in place, bit for bit, for increments in
-    [-2pi, 2pi] (differences of ``arctan2`` angles).
+def _closed(gap):
+    """The gap rule: a refined gap below ``2 _MIN_RADIUS`` is closed."""
+    return gap < 2.0 * _MIN_RADIUS
 
-    ``x = increments + pi`` lies in [-pi, 3pi], where ``%`` adds 2pi below 0 and
-    subtracts it from 2pi on; both masks are read off the unwrapped ``x``, since
-    a tiny negative ``x`` rounds to exactly 2pi under ``x + 2pi`` and stays there.
+
+def _cut_columns(k: np.ndarray) -> np.ndarray:
+    """Grid indices ``[m - 1, m, -1, 0]``: the two segments where ``signbit(sin k)``
+    flips, 0 -> 1 next to ``k = pi`` and 1 -> 0 across ``k = 0``."""
+    m = int(np.signbit(np.sin(k)).argmax())
+    return np.array([m - 1, m, -1, 0])
+
+
+def _winding(ta, tb, k):
+    """Winding of each row's d(k) curve from ``ta``, ``tb`` at the four ``k`` of
+    :func:`_cut_columns` (the last axis).
+
+    With ``tb >= +0``, ``d_y = tb sin k`` has the sign bit of ``sin k``, so the
+    sampled curve crosses ``arctan2``'s cut, the negative x axis, only on those
+    two segments.  A segment whose sign bit flips 0 -> 1 crosses it turning
+    counterclockwise (``x1 y2 - x2 y1 > 0``), one turn up; one that flips
+    1 -> 0 crosses it turning clockwise, one turn down.  The count is the sum
+    of wrapped ``arctan2`` increments over the whole grid, divided by 2pi.
     """
-    x = np.add(increments, math.pi, out=increments)
-    low, high = x < 0.0, x >= 2.0 * math.pi
-    np.add(x, 2.0 * math.pi, out=x, where=low)
-    np.subtract(x, 2.0 * math.pi, out=x, where=high)
-    return np.subtract(x, math.pi, out=x)
+    d_x = ta + tb * np.cos(k)
+    d_y = tb * np.sin(k)
+    cross = d_x[..., ::2] * d_y[..., 1::2] - d_x[..., 1::2] * d_y[..., ::2]
+    return (cross[..., 0] > 0.0).astype(np.int64) - (cross[..., 1] < 0.0)
 
 
-def _winding(work: np.ndarray, cos_k, sin_k):
-    """Winding turns and minimum radius of each row's d(k) curve.
-
-    ``work`` is ``(4, rows, n_k)``: ``work[0]`` and ``work[1]`` hold ``ta`` and
-    ``tb`` on entry, and all four rows are overwritten.
-    """
-    ta, tb, increments, d_y = work
-    np.multiply(tb, sin_k, out=d_y)
-    d_x = np.multiply(tb, cos_k, out=tb)
-    d_x += ta
-    angles = np.arctan2(d_y, d_x, out=ta)
-    np.subtract(angles[:, 1:], angles[:, :-1], out=increments[:, :-1])
-    np.subtract(angles[:, :1], angles[:, -1:], out=increments[:, -1:])
-    turns = _wrap(increments).sum(axis=-1) / (2.0 * math.pi)
-    # libm's hypot costs ~20 ns a point, so it runs only where the squared
-    # radius is within a relative 1e-12 of its row minimum; both err by a few
-    # ulps, so the smallest hypot lies there (1e-300 covers subnormal squares)
-    r2 = np.multiply(d_x, d_x, out=angles)
-    r2 += np.multiply(d_y, d_y, out=increments)
-    row, col = np.nonzero(r2 <= r2.min(axis=-1, keepdims=True) * (1.0 + 1e-12) + 1e-300)
-    min_radius = np.full(r2.shape[0], np.inf)
-    np.minimum.at(min_radius, row, np.hypot(d_x[row, col], d_y[row, col]))
-    return turns, min_radius
+def _winding_result(ta, tb, k: np.ndarray) -> WindingResult:
+    cols = _cut_columns(k)
+    nu = int(_winding(ta[cols], tb[cols], k[cols]))
+    d_x, d_y = ta + tb * np.cos(k), tb * np.sin(k)
+    return WindingResult(nu=nu, min_radius=float(np.hypot(d_x, d_y).min()))
 
 
 def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
@@ -309,49 +302,49 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     """Winding of the d(k) curve for given hopping magnitudes.
 
     ``abs_ta``/``abs_tb`` may be scalars (SSH-like constant hoppings) or
-    arrays over the Brillouin-zone grid.  Raises
-    :class:`GapClosed` when the curve approaches the origin or when the
-    accumulated angle does not settle on an integer multiple of 2pi (which
-    means the sampled curve jumped past the origin).
+    arrays over the Brillouin-zone grid; they must be finite and non-negative.
+    With only these samples to go on, it raises :class:`GapClosed` when a
+    sampled point of the curve comes within 1e-6 of the origin.
     """
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
-    work = np.empty((4, 1, n_k))
-    work[0], work[1] = abs_ta, abs_tb
-    turns, min_radius = _winding(work, np.cos(k), np.sin(k))
-    min_radius = float(min_radius[0])
-    if min_radius < _MIN_RADIUS:
+    ta, tb, _ = np.broadcast_arrays(np.asarray(abs_ta, float), np.asarray(abs_tb, float), k)
+    if not np.all(np.isfinite(ta) & np.isfinite(tb) & (ta >= 0.0) & (tb >= 0.0)):
+        raise ValueError("hopping magnitudes must be finite and non-negative")
+    result = _winding_result(ta, tb, k)
+    if result.min_radius < _MIN_RADIUS:
         raise GapClosed(
-            f"d(k) curve passes within {min_radius:.2e} of the origin; winding undefined"
+            f"d(k) curve passes within {result.min_radius:.2e} of the origin; winding undefined"
         )
-    turns = float(turns[0])
-    nu = round(turns)
-    if abs(turns - nu) > _INTEGER_SLACK:
-        raise GapClosed(
-            f"angle sum {turns:.4f} turns is not close to an integer; "
-            "refine n_k or treat the gap as closed"
-        )
-    return WindingResult(nu=int(nu), min_radius=min_radius)
+    return result
 
 
 def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult:
-    """Winding number of the chain with phase shifts (phi_a, phi_b)."""
-    k = _k_grid(n_k)
-    return winding_from_hoppings(hopping_magnitude(phi_a, k), hopping_magnitude(phi_b, k), n_k)
+    """Winding number of the chain with phase shifts (phi_a, phi_b).
+
+    Raises :class:`GapClosed` where the refined gap of :func:`band_structure`
+    at the same ``n_k`` is below 2e-6, the rule :func:`phase_diagram` flags by.
+    """
+    if n_k < 64:
+        raise ValueError("n_k must be >= 64")
+    bands = band_structure(phi_a, phi_b, n_k)
+    if _closed(bands.gap):
+        raise GapClosed(f"refined gap {bands.gap:.2e} is closed; winding undefined")
+    return _winding_result(bands.abs_ta, bands.abs_tb, bands.k_grid)
 
 
 def _scan_blocks(table: np.ndarray, row_a: np.ndarray, row_b: np.ndarray, k: np.ndarray):
-    """Coarse gap and winding of each pair ``(table[row_a], table[row_b])``.
+    """Coarse gap of each pair ``(table[row_a], table[row_b])``.
 
     The pairs run in blocks of ``_BLOCK_FLOATS // n_k`` through one workspace,
     allocated here once, so no block faults in fresh pages; it is freed on
     return, before the gap search.
     """
     n, n_k = row_a.size, k.size
-    cos_k, sin_k = np.cos(k), np.sin(k)
+    cos_k = np.cos(k)
     i_min = np.empty(n, dtype=np.intp)
-    coarse, turns, min_radius = np.empty((3, n))
+    coarse = np.empty(n)
     block = max(1, _BLOCK_FLOATS // n_k)
     workspace = np.empty((4, min(block, n), n_k))
     for start in range(0, n, block):
@@ -364,18 +357,19 @@ def _scan_blocks(table: np.ndarray, row_a: np.ndarray, row_b: np.ndarray, k: np.
         np.multiply(ta, ta, out=sq_a)
         np.multiply(tb, tb, out=sq_b)
         i_min[pairs], coarse[pairs] = _coarse_gap(_dispersion(work, cos_k))
-        turns[pairs], min_radius[pairs] = _winding(work, cos_k, sin_k)
-    return i_min, coarse, turns, min_radius
+    return i_min, coarse
 
 
 def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     """Gap and winding over a (phi_a, phi_b) grid; closed-gap points are flagged.
 
     Each point gets the gap of :func:`band_structure` and the winding of
-    :func:`winding_number` at the same ``n_k``, bit for bit.  ``|t(phi, k)|``
-    is tabulated in one call over the distinct phases; the splitting, gap
-    minimum and winding then run over blocks of ``_BLOCK_FLOATS // n_k``
-    pairs, and one lockstep Brent search refines the gaps of all pairs.
+    :func:`winding_number` at the same ``n_k``, bit for bit, and is flagged
+    by the same rule: closed where its refined gap is below 2e-6.
+    ``|t(phi, k)|`` is tabulated in one call over the distinct phases; the
+    splitting and its gap minimum then run over blocks of
+    ``_BLOCK_FLOATS // n_k`` pairs, one lockstep Brent search refines the gaps
+    of all pairs, and the winding reads four columns of the table.
     """
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
@@ -388,12 +382,14 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     table = hopping_magnitude(phases[:, None], k)
     i, j = np.divmod(np.arange(phi_a_grid.size * phi_b_grid.size), phi_b_grid.size)
     row_a, row_b = which[: phi_a_grid.size][i], which[phi_a_grid.size :][j]
-    i_min, coarse, turns, min_radius = _scan_blocks(table, row_a, row_b, k)
+    i_min, coarse = _scan_blocks(table, row_a, row_b, k)
     gap, _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], i_min, coarse, k)
+    cols = _cut_columns(k)
+    ends = table[:, cols]
 
     shape = (phi_a_grid.size, phi_b_grid.size)
-    nu = np.round(turns) + 0.0  # + 0.0: -0.0 -> 0.0, as round() gives
-    closed = (min_radius < _MIN_RADIUS) | (np.abs(turns - nu) > _INTEGER_SLACK)
+    nu = _winding(ends[row_a], ends[row_b], k[cols]).astype(float)
+    closed = _closed(gap)
     nu[closed] = np.nan
     flag = np.where(closed, "gap_closed", "").astype(object)
     return PhaseDiagram(

@@ -121,9 +121,9 @@ def cmd_bands(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    bands = bands_mod.band_structure(args.phi_a, args.phi_b, args.nk)
-    result = bands_mod.winding_from_hoppings(bands.abs_ta, bands.abs_tb, args.nk)
-    payload = {"nu": result.nu, "min_radius": result.min_radius, "gap": bands.gap}
+    result = bands_mod.winding_number(args.phi_a, args.phi_b, args.nk)
+    gap = bands_mod.band_structure(args.phi_a, args.phi_b, args.nk).gap
+    payload = {"nu": result.nu, "min_radius": result.min_radius, "gap": gap}
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 

@@ -201,13 +201,6 @@ def solve_diamond(phi, k, convention: EdgeConvention = DEFAULT_CONVENTION, *,
     return DiamondScattering(s_matrix=s_matrix)
 
 
-def _midpoint_grid(n_phi: int, n_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform (phi, k) grid over (0, 2pi)^2 that avoids the removable points."""
-    phis = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
-    ks = (np.arange(n_k) + 0.5) * 2.0 * math.pi / n_k
-    return phis, ks
-
-
 def oracle_deviation(
     convention: EdgeConvention,
     n_phi: int = 32,
@@ -217,13 +210,17 @@ def oracle_deviation(
 ) -> float:
     """Max over a (phi, k) grid of ``| |t_solver| - |t_closed_form| |``.
 
-    The grid is midpoint-sampled so it keeps a radius of at least pi/n away
-    from the closed form's removable singularities.
+    The grid is midpoint-sampled over (0, 2pi)^2 so it keeps a radius of at
+    least pi/n away from the closed form's removable singularities.  An empty
+    grid is rejected: it would score as perfect agreement.
     """
-    phis, ks = _midpoint_grid(n_phi, n_k)
-    t_solver = np.abs(solve_diamond(phis[:, None], ks, convention, theta=theta).transmission)
-    t_closed = np.abs(transmission_closed_form(phis[:, None], ks))
-    return float(np.abs(t_solver - t_closed).max(initial=0.0))
+    if n_phi < 1 or n_k < 1:
+        raise ValueError(f"n_phi and n_k must be >= 1, got {n_phi} and {n_k}")
+    phis = (np.arange(n_phi)[:, None] + 0.5) * 2.0 * math.pi / n_phi
+    ks = (np.arange(n_k) + 0.5) * 2.0 * math.pi / n_k
+    t_solver = np.abs(solve_diamond(phis, ks, convention, theta=theta).transmission)
+    t_closed = np.abs(transmission_closed_form(phis, ks))
+    return float(np.abs(t_solver - t_closed).max())
 
 
 def calibrate_edge_convention(*, theta: float = DEFAULT_THETA) -> EdgeConvention:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["DEFAULT_THETA", "vertex_unitary", "check_unitary"]
+__all__ = ["DEFAULT_THETA", "vertex_unitary"]
 
 # the quarter-wave vertex used by the diamond chain simulations
 DEFAULT_THETA = -math.pi / 2.0
@@ -47,11 +47,3 @@ def vertex_unitary(theta: float) -> np.ndarray:
     matrix.setflags(write=False)
     return matrix
 
-
-def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff ``matrix`` is unitary: max entrywise ``|U^dag U - I| <= tol``."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    gram = m.conj().T @ m
-    return bool(np.abs(gram - np.eye(m.shape[0])).max() <= tol)

@@ -1,9 +1,11 @@
 """Independent oracle for the momentum-space layer: the per-point path.
 
 One scalar closed form per (phi, k), scipy's bounded ``minimize_scalar`` for
-each gap, and a Python double loop over the phase grid.  The library computes
-the same numbers batched (one ``|t|`` table over all phases, a lockstep Brent
-search over all pairs); the tests require the two to agree bit for bit.
+each gap, the winding as a sum of wrapped ``arctan2`` angle increments over
+the whole grid, and a Python double loop over the phase grid.  The library
+computes the same numbers batched (one ``|t|`` table over all phases, a
+lockstep Brent search over all pairs, a crossing count on four grid columns);
+the tests require the two to agree bit for bit.
 """
 
 import math
@@ -57,6 +59,12 @@ def hopping_magnitude(phi: float, k):
     return np.abs(transmission_closed_form(phi, k))
 
 
+def hamiltonian_k(phi_a: float, phi_b: float, k: float) -> np.ndarray:
+    """2x2 momentum-space Hamiltonian at quasi-momentum k (1/N prefactor dropped)."""
+    off = hopping_magnitude(phi_a, k) + hopping_magnitude(phi_b, k) * np.exp(-1j * k)
+    return np.array([[0.0, off], [np.conj(off), 0.0]], dtype=complex)
+
+
 def dispersion(ta, tb, k):
     return np.sqrt(np.maximum(ta**2 + tb**2 + 2.0 * ta * tb * np.cos(k), 0.0))
 
@@ -93,7 +101,12 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> dict:
 
 
 def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> dict:
-    """``nu`` and ``min_radius``; raises :class:`GapClosed` as the library does."""
+    """``nu`` and ``min_radius``; raises :class:`GapClosed` where the scipy gap is
+    below 2e-6, a sampled point comes within 1e-6 of the origin, or the angle
+    sum is not near an integer."""
+    gap = band_structure(phi_a, phi_b, n_k)["gap"]
+    if gap < 2.0 * _MIN_RADIUS:
+        raise GapClosed(f"refined gap {gap:.2e} is closed")
     k = _k_grid(n_k)
     ta = hopping_magnitude(phi_a, k)
     tb = hopping_magnitude(phi_b, k)

@@ -13,7 +13,6 @@ from diamondwalk import (
     GapClosed,
     band_structure,
     dispersion,
-    hamiltonian_k,
     hopping_magnitude,
     phase_diagram,
     winding_from_hoppings,
@@ -21,6 +20,7 @@ from diamondwalk import (
 )
 from diamondwalk.cli import FIG4_PAIRS, FIG5_LEFT, FIG5_RIGHT
 import bands_oracle
+from bands_oracle import hamiltonian_k
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -91,6 +91,15 @@ def test_synthetic_constant_hoppings_winding():
     assert winding_from_hoppings(0.7, 0.3, 256).nu == 0
 
 
+@pytest.mark.parametrize("abs_ta,abs_tb", [
+    (0.3, -0.7), (-0.3, 0.7), (0.3, np.nan), (np.inf, 0.7), (0.3, np.full(256, -1e-300)),
+])
+def test_winding_from_hoppings_rejects_negative_or_non_finite(abs_ta, abs_tb):
+    # the crossing count reads the sign of d_y off sin k, which needs |t_b| >= 0
+    with pytest.raises(ValueError, match="hopping"):
+        winding_from_hoppings(abs_ta, abs_tb, 256)
+
+
 def test_synthetic_constant_hoppings_gap():
     # with k-independent hoppings the gap is 2|v - w|
     k = np.arange(256) * 2 * np.pi / 256
@@ -156,6 +165,7 @@ GRID_5 = np.linspace(0.3, 2 * np.pi - 0.3, 5)
 GRID_11 = np.linspace(0.0, 2 * np.pi, 11, endpoint=False)
 GRID_13 = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
 GRID_17 = np.linspace(0.0, 2 * np.pi, 17, endpoint=False)
+GRID_20 = np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
 RANDOM_PHASES = np.random.default_rng(2024).uniform(0.0, 2 * np.pi, size=(2, 10))
 
 
@@ -181,9 +191,12 @@ def assert_bits_equal(got, want, label):
         # across block seams: 143 pairs in blocks of 64 + 64 + 15, 289 in 256 + 33
         (GRID_13, GRID_11, 512),
         (GRID_17, GRID_17, 128),
+        # gaps of 9e-9 to 1.5e-6 next to phi = pi, and pi off the odd k grid
+        (GRID_20, GRID_20, 1024),
+        (GRID_9, GRID_9, 513),
     ],
     ids=["9-128", "9-512", "16-128", "16-512", "5-128", "row0-128", "row0-512", "random-512",
-         "13x11-512", "17-128"],
+         "13x11-512", "17-128", "20-1024", "9-513"],
 )
 def test_phase_diagram_matches_per_point_oracle(phi_a, phi_b, n_k):
     got = phase_diagram(phi_a, phi_b, n_k)
@@ -249,20 +262,6 @@ def test_brent_lanes_match_each_lane_run_alone():
         assert_bits_equal(f1, f[one], f"f of lane {lane}")
 
 
-def test_wrap_matches_remainder_bit_for_bit():
-    pi, two_pi = math.pi, 2 * math.pi
-    edges = [pi, -pi, two_pi, -two_pi, 0.0, -0.0]
-    # -pi - ulp: x = inc + pi is -4.4e-16, and x + 2pi rounds to exactly 2pi,
-    # which % keeps (the wrapped increment is +pi)
-    edges += [np.nextafter(v, s) for v in (pi, -pi) for s in (-np.inf, np.inf)]
-    edges += [np.nextafter(two_pi, 0.0), np.nextafter(-two_pi, 0.0)]
-    angles = np.arctan2(*np.random.default_rng(5).normal(size=(2, 4000)))
-    inc = np.concatenate([edges, np.random.default_rng(6).uniform(-two_pi, two_pi, 4000),
-                          np.diff(angles)])
-    want = (inc + pi) % two_pi - pi
-    assert_bits_equal(bands._wrap(inc.copy()), want, "wrapped increments")
-
-
 @pytest.mark.parametrize("n", [32, 64])
 def test_phase_diagram_peak_memory_is_a_few_blocks(n):
     # numpy reports its buffers to tracemalloc; (pairs, n_k) temporaries over
@@ -301,16 +300,18 @@ def test_phase_diagram_blocks_fault_in_no_fresh_pages():
     assert int(proc.stdout) < 1000
 
 
-@pytest.mark.parametrize("n_k,workspace", [
+@pytest.mark.parametrize("n_k,route", [
     *(pytest.param(n_k, "fresh", id=str(n_k)) for n_k in (65, 129, 512, 513)),
     *(pytest.param(n_k, "reused", id=f"{n_k}-reused") for n_k in (65, 129, 512, 513)),
 ])
-def test_winding_min_radius_is_the_smallest_hypot(n_k, workspace):
-    # _winding takes hypot only near the smallest squared radius; at odd n_k,
-    # constant hoppings put the minimum on two mirror points whose squares and
-    # hypots can order differently; near-closed curves and tiny circles follow.
-    # "reused" runs in the leading rows of a larger workspace that an earlier
-    # call left dirty, as phase_diagram's last block does
+def test_winding_min_radius_is_the_smallest_hypot(n_k, route):
+    # the crossing count against the sum of wrapped arctan2 increments, and
+    # min_radius against the smallest hypot.  At odd n_k, constant hoppings put
+    # the minimum on two mirror points whose squares and hypots can order
+    # differently; jagged curves, curves through or next to the origin and
+    # tiny circles follow.  "fresh" runs each row as winding_number does;
+    # "reused" gathers the rows' cut columns out of one shuffled table, as
+    # phase_diagram gathers its pairs from the |t| table
     rng = np.random.default_rng(n_k)
     ta = rng.uniform(0.0, 1.0, (600, 1)) * np.ones(n_k)
     tb = rng.uniform(0.0, 1.0, (600, 1)) * np.ones(n_k)
@@ -322,17 +323,24 @@ def test_winding_min_radius_is_the_smallest_hypot(n_k, workspace):
     d_x, d_y = ta + tb * np.cos(k), tb * np.sin(k)
     angles = np.arctan2(d_y, d_x)
     increments = np.diff(angles, append=angles[:, :1]) + math.pi
-    want_turns = (increments % (2 * math.pi) - math.pi).sum(axis=-1) / (2 * math.pi)
-    if workspace == "fresh":
-        work = np.empty((4, 600, n_k))
+    turns = (increments % (2 * math.pi) - math.pi).sum(axis=-1) / (2 * math.pi)
+    min_radius = np.hypot(d_x, d_y).min(axis=-1)
+    # the count is defined where the gap is open; the tiny circles' cross
+    # products underflow to 0, and at even n_k rows 400-500 pass k = pi at ~1e-9
+    open_ = min_radius >= bands._MIN_RADIUS
+    assert open_.sum() > 400
+    assert np.abs(turns[open_] - np.round(turns[open_])).max() < 1e-9
+    if route == "fresh":
+        results = [bands._winding_result(ta[r], tb[r], k) for r in range(600)]
+        nu = np.array([res.nu for res in results])
+        assert_bits_equal([res.min_radius for res in results], min_radius, "min_radius")
     else:
-        work = rng.uniform(0.0, 1.0, (4, 700, n_k))
-        bands._winding(work, np.cos(k), np.sin(k))
-        work = work[:, :600]
-    work[0], work[1] = ta, tb
-    turns, min_radius = bands._winding(work, np.cos(k), np.sin(k))
-    assert_bits_equal(turns, want_turns, "turns")
-    assert_bits_equal(min_radius, np.hypot(d_x, d_y).min(axis=-1), "min_radius")
+        cols = bands._cut_columns(k)
+        order = rng.permutation(1200)
+        table = np.concatenate([ta, tb])[order][:, cols]
+        rows = np.argsort(order)
+        nu = bands._winding(table[rows[:600]], table[rows[600:]], k[cols])
+    assert np.array_equal(nu[open_], np.round(turns[open_]))
 
 
 def test_min_radius_where_squares_and_hypots_order_differently():

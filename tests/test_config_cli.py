@@ -140,6 +140,21 @@ class TestCli:
         assert main(["winding", "--phi-a", "1.3", "--phi-b", "1.3", "--nk", "256"]) == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi_a,phi_b,nk", [
+        ("1", "1", "513"),  # k = pi, where the gap closes, is off the odd grid
+        ("0.6283185307179586", "3.141592653589793", "1024"),  # refined gap 6.2e-07
+    ])
+    def test_winding_closed_refined_gap_is_numerical_error(self, capsys, phi_a, phi_b, nk):
+        assert main(["winding", "--phi-a", phi_a, "--phi-b", phi_b, "--nk", nk]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refined gap" in captured.err
+
+    def test_sweep_flags_closed_refined_gap_off_the_grid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "4", "--nk", "513", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0,0,4.2146848510894035e-08,,gap_closed"
+
     def test_sweep_csv_dimensions(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", "4", "--nk", "128", "--out", str(out)]) == 0

@@ -154,6 +154,13 @@ def test_oracle_deviation_small_on_coarse_grid():
     assert oracle_deviation(DEFAULT_CONVENTION, 12, 12) <= 1e-12
 
 
+@pytest.mark.parametrize("n_phi,n_k", [(0, 5), (5, 0), (-1, 5), (5, -3)])
+def test_oracle_deviation_rejects_empty_grid(n_phi, n_k):
+    # an empty grid has no deviation to take the max of, not a deviation of 0
+    with pytest.raises(ValueError, match="n_phi and n_k"):
+        oracle_deviation(DEFAULT_CONVENTION, n_phi, n_k)
+
+
 def test_solver_batch_is_bitwise_a_loop_of_scalar_calls():
     rng = np.random.default_rng(20)
     phis = np.concatenate([rng.uniform(-10.0, 10.0, 600), rng.uniform(0.0, 2 * np.pi, 600)])

@@ -3,9 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondwalk import check_unitary, vertex_unitary
+from diamondwalk import vertex_unitary
 
 QUARTER_WAVE = -np.pi / 2.0
+
+
+def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """True iff ``matrix`` is unitary: max entrywise ``|U^dag U - I| <= tol``."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    gram = m.conj().T @ m
+    return bool(np.abs(gram - np.eye(m.shape[0])).max() <= tol)
 
 
 def quarter_wave_expected():

@@ -39,3 +39,24 @@ def test_every_module_uses_the_names_it_imports():
                     for alias in node.names if alias.name != "*"}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_private_module_name_is_loaded_in_the_package():
+    # a module-level _name that nothing in src/ reads is dead code left behind
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(diamondwalk.__file__).parent.glob("*.py"))]
+    loaded = {node.id for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    loaded |= {node.attr for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private, "no private names found"
+    assert private <= loaded, sorted(private - loaded)
