@@ -42,7 +42,6 @@ __all__ = [
     "BandResult",
     "WindingResult",
     "PhaseDiagram",
-    "hopping_magnitude",
     "dispersion",
     "band_structure",
     "winding_from_hoppings",
@@ -72,10 +71,9 @@ class GapClosed(ArithmeticError):
 class BandResult:
     k_grid: np.ndarray
     e_plus: np.ndarray  # upper band; the lower band is -e_plus
-    abs_ta: np.ndarray
+    abs_ta: np.ndarray  # np.abs(transmission_closed_form(phi_a, k_grid))
     abs_tb: np.ndarray
     gap: float
-    gap_k: float  # location of the refined gap minimum
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,6 @@ class PhaseDiagram:
     gap: np.ndarray  # (len(phi_a), len(phi_b))
     nu: np.ndarray  # float array, NaN where the winding is undefined
     flag: np.ndarray  # '' or 'gap_closed'
-
-
-def hopping_magnitude(phi, k) -> np.ndarray | float:
-    """|t(phi, k)|: the hopping strength contributed by a diamond at phase phi."""
-    return np.abs(transmission_closed_form(phi, k))
 
 
 def dispersion(ta, tb, k):
@@ -130,7 +123,7 @@ def _k_grid(n_k: int) -> np.ndarray:
 
 def _splitting(x: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
     """Band splitting ``2 E_+`` at one k per lane, squaring as a scalar float does."""
-    t = hopping_magnitude(np.concatenate([phi_a, phi_b]), np.concatenate([x, x]))
+    t = np.abs(transmission_closed_form(np.concatenate([phi_a, phi_b]), np.concatenate([x, x])))
     # float_power's loop is libm pow, as a scalar float's ** 2 is
     work = np.concatenate([t, np.float_power(t, 2.0)]).reshape(4, x.size)
     return 2.0 * _dispersion(work, np.cos(x))
@@ -224,14 +217,12 @@ def _coarse_gap(e_plus: np.ndarray):
 
 
 def _refined_gap(phi_a, phi_b, i_min, coarse, k: np.ndarray):
-    """Gap and its location per pair: the coarse minimum from :func:`_coarse_gap`
-    refined by the bounded Brent search within one grid step, all pairs at once."""
+    """Gap per pair: the coarse minimum from :func:`_coarse_gap` refined by the
+    bounded Brent search within one grid step, all pairs at once."""
     k_min = k[i_min]
     dk = 2.0 * math.pi / k.size
-    x, fun = _bounded_brent(_splitting, k_min - dk, k_min + dk, phi_a, phi_b)
-    gap = np.where(fun < coarse, fun, coarse)
-    gap_k = np.where(coarse <= fun, k_min, x) % (2.0 * math.pi)
-    return gap, gap_k
+    _, fun = _bounded_brent(_splitting, k_min - dk, k_min + dk, phi_a, phi_b)
+    return np.where(fun < coarse, fun, coarse)
 
 
 def _closed(gap):
@@ -283,18 +274,17 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     if n_k < 16:
         raise ValueError("n_k must be >= 16")
     k = _k_grid(n_k)
-    abs_ta = hopping_magnitude(phi_a, k)
-    abs_tb = hopping_magnitude(phi_b, k)
+    abs_ta = np.abs(transmission_closed_form(phi_a, k))
+    abs_tb = np.abs(transmission_closed_form(phi_b, k))
     e_plus = dispersion(abs_ta, abs_tb, k)
-    gap, gap_k = _refined_gap(np.array([phi_a], dtype=float), np.array([phi_b], dtype=float),
-                              *_coarse_gap(e_plus[None]), k)
+    gap = _refined_gap(np.array([phi_a], dtype=float), np.array([phi_b], dtype=float),
+                       *_coarse_gap(e_plus[None]), k)
     return BandResult(
         k_grid=k,
         e_plus=e_plus,
         abs_ta=abs_ta,
         abs_tb=abs_tb,
         gap=float(gap[0]),
-        gap_k=float(gap_k[0]),
     )
 
 
@@ -379,11 +369,11 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
     phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
-    table = hopping_magnitude(phases[:, None], k)
+    table = np.abs(transmission_closed_form(phases[:, None], k))
     i, j = np.divmod(np.arange(phi_a_grid.size * phi_b_grid.size), phi_b_grid.size)
     row_a, row_b = which[: phi_a_grid.size][i], which[phi_a_grid.size :][j]
     i_min, coarse = _scan_blocks(table, row_a, row_b, k)
-    gap, _ = _refined_gap(phi_a_grid[i], phi_b_grid[j], i_min, coarse, k)
+    gap = _refined_gap(phi_a_grid[i], phi_b_grid[j], i_min, coarse, k)
     cols = _cut_columns(k)
     ends = table[:, cols]
 

@@ -31,7 +31,7 @@ from .diamond import (
     solve_diamond,
     transmission_closed_form,
 )
-from .lattice import LatticeSpec, PhaseProfile, audit_graph, build_lattice
+from .lattice import SUBSITES, LatticeSpec, PhaseProfile, audit_graph, build_lattice
 
 __all__ = ["main", "run_reproduction"]
 
@@ -156,6 +156,7 @@ def _walk_summary(obs: walk_mod.WalkObservables) -> dict:
 
 
 def _run_walk(spec: LatticeSpec, steps: int, cell: int, subsite: str, direction: str):
+    spec.diamond_index(cell, subsite)  # rejects a cell off the chain before the build
     graph = build_lattice(spec)
     report = audit_graph(graph)
     if not report.ok:
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)
     p.add_argument("--cell", type=int, default=0)
-    p.add_argument("--subsite", choices=("a", "b"), default="a")
+    p.add_argument("--subsite", choices=SUBSITES, default="a")
     p.add_argument("--direction", choices=("left", "right"), default="right")
     p.set_defaults(func=cmd_walk)
 
@@ -316,9 +317,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
-        # ValueError here means a module precondition rejected a CLI parameter;
-        # OSError an unreadable config or an unwritable output path
+    except (OSError, ValueError) as exc:
+        # ValueError (ConfigError among them) here means a config or a module
+        # precondition rejected a CLI parameter; OSError an unreadable config or
+        # an unwritable output path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:

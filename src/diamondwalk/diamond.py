@@ -153,16 +153,16 @@ def transmission_closed_form(phi, k):
     return out
 
 
-def solve_diamond(phi, k, convention: EdgeConvention = DEFAULT_CONVENTION, *,
-                  theta: float = DEFAULT_THETA) -> DiamondScattering:
+def solve_diamond(phi, k, convention: EdgeConvention = DEFAULT_CONVENTION) -> DiamondScattering:
     """Solve the stationary scattering problem of one diamond from first principles.
 
-    The unknowns are the six amplitudes leaving the two vertices through their
-    three ports.  A wave leaving one vertex on an internal edge arrives at the
-    other multiplied by ``exp(i(k*ell + chi))`` (``ell``, ``chi`` from the
-    convention), with an extra ``exp(i phi)`` on the shifted edge; each vertex
-    then scatters incoming into outgoing amplitudes through the three-port
-    unitary.  Solving the resulting 6x6 linear system for unit input from the
+    Both vertices are the ``DEFAULT_THETA = -pi/2`` three-port, the one the
+    closed form describes.  The unknowns are the six amplitudes leaving the
+    two vertices through their three ports.  A wave leaving one vertex on an
+    internal edge arrives at the other multiplied by ``exp(i(k*ell + chi))``
+    (``ell``, ``chi`` from the convention), with an extra ``exp(i phi)`` on the
+    shifted edge; each vertex then scatters incoming into outgoing amplitudes
+    through the three-port unitary.  Solving the resulting 6x6 linear system for unit input from the
     left and from the right yields the full 2x2 S-matrix.
 
     ``phi`` and ``k`` may be scalars or arrays that broadcast against each
@@ -175,7 +175,7 @@ def solve_diamond(phi, k, convention: EdgeConvention = DEFAULT_CONVENTION, *,
     phi, k = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(k, dtype=float))
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(k))):
         raise ValueError("phi and k must be finite")
-    u = vertex_unitary(theta)
+    u = vertex_unitary(DEFAULT_THETA)
     edge = np.exp(1j * (k * convention.internal_length + convention.traversal_phase))
     hop = np.zeros(phi.shape + (3, 3), dtype=complex)
     hop[..., 1, 1] = edge
@@ -201,13 +201,7 @@ def solve_diamond(phi, k, convention: EdgeConvention = DEFAULT_CONVENTION, *,
     return DiamondScattering(s_matrix=s_matrix)
 
 
-def oracle_deviation(
-    convention: EdgeConvention,
-    n_phi: int = 32,
-    n_k: int = 32,
-    *,
-    theta: float = DEFAULT_THETA,
-) -> float:
+def oracle_deviation(convention: EdgeConvention, n_phi: int = 32, n_k: int = 32) -> float:
     """Max over a (phi, k) grid of ``| |t_solver| - |t_closed_form| |``.
 
     The grid is midpoint-sampled over (0, 2pi)^2 so it keeps a radius of at
@@ -218,12 +212,12 @@ def oracle_deviation(
         raise ValueError(f"n_phi and n_k must be >= 1, got {n_phi} and {n_k}")
     phis = (np.arange(n_phi)[:, None] + 0.5) * 2.0 * math.pi / n_phi
     ks = (np.arange(n_k) + 0.5) * 2.0 * math.pi / n_k
-    t_solver = np.abs(solve_diamond(phis, ks, convention, theta=theta).transmission)
+    t_solver = np.abs(solve_diamond(phis, ks, convention).transmission)
     t_closed = np.abs(transmission_closed_form(phis, ks))
     return float(np.abs(t_solver - t_closed).max())
 
 
-def calibrate_edge_convention(*, theta: float = DEFAULT_THETA) -> EdgeConvention:
+def calibrate_edge_convention() -> EdgeConvention:
     """Recover the edge convention that makes the solver reproduce the closed form.
 
     Scans internal edge lengths 1-4 and per-traversal quarter-wave counts,
@@ -235,7 +229,7 @@ def calibrate_edge_convention(*, theta: float = DEFAULT_THETA) -> EdgeConvention
     candidates = [EdgeConvention(internal_length=length, quarter_turns=quarter)
                   for length in (1, 2, 3, 4) for quarter in range(4)]
     # min keeps the first of equal scores, so the scan order breaks ties
-    dev, convention = min(((oracle_deviation(c, 16, 16, theta=theta), c) for c in candidates),
+    dev, convention = min(((oracle_deviation(c, 16, 16), c) for c in candidates),
                           key=lambda scored: scored[0])
     if dev > 1e-6:
         raise NoConventionMatches(

@@ -165,14 +165,27 @@ class LatticeSpec:
         """Sub-steps from entering one diamond to entering the next."""
         return self.internal_length + self.external_length
 
+    def diamond_index(self, cell: int, subsite: str) -> int:
+        """Diamond ``d = 2*(cell + M) + s`` of the named subsite; raises
+        :class:`ValueError` for a cell outside ``-M..M`` or an unknown subsite."""
+        if subsite not in SUBSITES:
+            raise ValueError(f"subsite must be one of {SUBSITES}, got {subsite!r}")
+        if not -self.half_length <= cell <= self.half_length:
+            raise ValueError(
+                f"cell {cell} outside [-{self.half_length}, {self.half_length}]"
+            )
+        return 2 * (cell + self.half_length) + SUBSITES.index(subsite)
+
 
 @dataclass(frozen=True)
 class LatticeGraph:
     """The built chain and the read-only tables the walk and the audit read.
 
     Every table is read off the slot layout of the module docstring, with
-    ``n_diamonds = spec.n_diamonds`` (the graph does not restate the spec's
-    sizes): a state is ``state[:n_int].reshape(n_diamonds, 2, 2, L_int)``
+    ``n_diamonds = spec.n_diamonds``; the graph restates nothing of the spec,
+    whose ``half_length`` gives the cells ``-M..M`` and whose ``diamond_index``
+    numbers the diamonds.  A state is
+    ``state[:n_int].reshape(n_diamonds, 2, 2, L_int)``
     (diamond, top/bottom, direction, position) followed by
     ``state[n_int:].reshape(n_diamonds + 1, 2, L_ext)`` (external edge,
     direction, position).  Vertices and mirrors read the last slot of an edge
@@ -194,21 +207,6 @@ class LatticeGraph:
     # (dim,) cell position (m + M) each slot's probability counts toward: gap
     # amplitudes count toward the diamond they are moving toward
     slot_cell: np.ndarray
-
-    cells: np.ndarray  # cell indices -M..M
-
-    @property
-    def half_length(self) -> int:
-        return self.spec.half_length
-
-    def diamond_index(self, cell: int, subsite: str) -> int:
-        if subsite not in SUBSITES:
-            raise ValueError(f"subsite must be one of {SUBSITES}, got {subsite!r}")
-        if not -self.half_length <= cell <= self.half_length:
-            raise ValueError(
-                f"cell {cell} outside [-{self.half_length}, {self.half_length}]"
-            )
-        return 2 * (cell + self.half_length) + SUBSITES.index(subsite)
 
 
 def _n_internal(spec: LatticeSpec) -> int:
@@ -297,8 +295,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
 
     tables = dict(in_slot=in_slot.reshape(-1, 3), out_slot=out_slot.reshape(-1, 3),
                   out_phase=out_phase.reshape(-1, 3), mirror_src=mirror_src,
-                  mirror_dst=mirror_dst, slot_cell=slot_cell,
-                  cells=np.arange(-spec.half_length, spec.half_length + 1))
+                  mirror_dst=mirror_dst, slot_cell=slot_cell)
     for arr in tables.values():
         arr.setflags(write=False)
 

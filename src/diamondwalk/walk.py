@@ -53,12 +53,10 @@ class LightConeOverflow(RuntimeError):
 
 @dataclass
 class WalkState:
-    """Amplitudes over all slots of a lattice graph."""
+    """Amplitudes over all slots of a lattice graph; the norm is
+    ``np.sqrt(np.sum(np.abs(amplitudes) ** 2))``."""
 
     amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    d = graph.diamond_index(cell, subsite)  # validates cell and subsite
+    d = graph.spec.diamond_index(cell, subsite)  # validates cell and subsite
     amplitudes = np.zeros(graph.dim, dtype=complex)
     amplitudes[graph.in_slot[2 * d + (direction == "left"), 0]] = 1.0
     return WalkState(amplitudes=amplitudes)
@@ -202,12 +200,14 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # Both buffers stay zero outside the window: a windowed step rewrites
     # every slot of the window, and the window never shrinks.
     last = graph.spec.n_diamonds - 1
-    cells = graph.slot_cell[nonzero]
-    lo, hi = 2 * int(cells.min()), 2 * int(cells.max()) + 1
+    occupied = graph.slot_cell[nonzero]
+    lo, hi = 2 * int(occupied.min()), 2 * int(occupied.max()) + 1
     state = WalkState(amplitudes=state.amplitudes.copy())
     spare = np.zeros_like(state.amplitudes)
 
-    m = graph.cells.astype(float)
+    half = graph.spec.half_length
+    cells = np.arange(-half, half + 1)
+    m = cells.astype(float)
     m2 = m**2
     n_rows = n_record + 1
     p_cell = np.empty((n_rows, m.size))
@@ -232,11 +232,10 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     mean = first / total
     var = second / total - mean**2
     sigma = np.sqrt(np.maximum(var, 0.0))
-    half = graph.half_length
     p_boundary = p_cell[:, half - 1 : half + 2].sum(axis=1)
 
     return WalkObservables(
-        cells=graph.cells,
+        cells=cells,
         records=np.arange(n_rows),
         substeps_per_record=substeps_per_record,
         p_cell=p_cell,

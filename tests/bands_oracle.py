@@ -74,7 +74,7 @@ def _k_grid(n_k: int) -> np.ndarray:
 
 
 def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> dict:
-    """``e_plus``, ``gap`` and ``gap_k``: the coarse minimum refined by scipy."""
+    """``e_plus`` and ``gap``: the coarse minimum refined by scipy."""
     k = _k_grid(n_k)
     abs_ta = hopping_magnitude(phi_a, k)
     abs_tb = hopping_magnitude(phi_b, k)
@@ -95,9 +95,7 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> dict:
         options={"xatol": 1e-10},
     )
     gap = min(2.0 * float(e_plus[i_min]), float(refined.fun))
-    gap_k = float(k[i_min]) if 2.0 * e_plus[i_min] <= refined.fun else float(refined.x)
-    gap_k %= 2.0 * math.pi
-    return {"e_plus": e_plus, "gap": gap, "gap_k": gap_k}
+    return {"e_plus": e_plus, "gap": gap}
 
 
 def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> dict:

@@ -10,7 +10,9 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import diamondwalk
-from diamondwalk import AuditReport, ConfigError, PhaseProfile, cli, parse_config
+from diamondwalk import (
+    AuditReport, ConfigError, PhaseProfile, cli, diamond, multiport, parse_config,
+)
 from diamondwalk.cli import main
 from diamondwalk.config import CONFIG_SCHEMA
 
@@ -206,6 +208,20 @@ class TestCli:
         assert f"config error: --steps must be at least 1, got {steps}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["99", "-9"])
+    def test_walk_cell_outside_the_chain_is_config_error_before_the_build(self, tmp_path, capsys,
+                                                                         monkeypatch, cell):
+        # the chain has cells -8 .. 8; a build would allocate the whole chain first
+        def no_build(spec):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli, "build_lattice", no_build)
+        config = write_config(tmp_path, FIG5_CONFIG)
+        out = tmp_path / "w.csv"
+        assert main(["walk", "--config", str(config), "--cell", cell, "--out", str(out)]) == 2
+        assert f"config error: cell {cell} outside [-8, 8]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("figure", ["fig4", "fig5"])
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_repro_steps_below_one_is_config_error_before_any_work(self, tmp_path, capsys,
@@ -236,6 +252,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["internal_length"] == 2 and payload["quarter_turns"] == 1
         assert payload["max_abs_deviation"] < 1e-12
+
+    def test_calibrate_with_no_matching_convention_is_numerical_error(self, capsys, monkeypatch):
+        # a theta = 0 vertex, which no edge convention fits to the closed form
+        monkeypatch.setattr(diamond, "vertex_unitary", lambda theta: multiport.vertex_unitary(0.0))
+        assert main(["calibrate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical error: best candidate" in captured.err
 
     def test_run_reproduction_rejects_an_unknown_figure(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown reproduction target 'fig6'"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondwalk import diamond, multiport
 from diamondwalk import (
     DEFAULT_CONVENTION,
     EdgeConvention,
@@ -135,9 +136,11 @@ def test_calibration_finds_the_shipped_convention():
     assert convention.quarter_turns == 1
 
 
-def test_calibration_negative_control_wrong_vertex():
+def test_calibration_negative_control_wrong_vertex(monkeypatch):
+    # the closed form is the theta = -pi/2 diamond's; no convention fits theta = 0
+    monkeypatch.setattr(diamond, "vertex_unitary", lambda theta: multiport.vertex_unitary(0.0))
     with pytest.raises(NoConventionMatches):
-        calibrate_edge_convention(theta=0.0)
+        calibrate_edge_convention()
 
 
 def test_calibrated_convention_on_holdout_points():

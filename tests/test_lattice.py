@@ -51,14 +51,14 @@ def test_profile_maps_to_diamond_phases():
     g = small_graph(half_length=2, profile=profile)
     for m, expected in ((0, FIG5_PAIRS[0]), (1, FIG5_PAIRS[1]), (-2, FIG5_PAIRS[0])):
         for subsite, phi in zip("ab", expected):
-            d = g.diamond_index(m, subsite)
+            d = g.spec.diamond_index(m, subsite)
             # port C of both vertices writes the diamond's bottom edge
             assert g.out_phase[[2 * d, 2 * d + 1], 2] == pytest.approx(np.exp(1j * phi))
 
 
 def test_shifted_edge_carries_the_phase():
     g = small_graph(half_length=1, profile=PhaseProfile.uniform(0.7, 0.7, 1))
-    d = g.diamond_index(0, "a")
+    d = g.spec.diamond_index(0, "a")
     vertices = [2 * d, 2 * d + 1]
     # ports A and B write the external and top edges, port C the bottom edge
     assert np.all(g.out_phase[vertices, :2] == 1.0)
@@ -70,9 +70,9 @@ def test_rebuild_is_deterministic():
     a = build_lattice(LatticeSpec(half_length=3, profile=profile))
     b = build_lattice(LatticeSpec(half_length=3, profile=profile))
     tables = [f.name for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)]
-    assert {"cells", "slot_cell", "in_slot", "vertex_matrix"} <= set(tables)
+    assert {"slot_cell", "in_slot", "vertex_matrix"} <= set(tables)
     for name in tables:
-        # the graph is shared between walks, and WalkObservables.cells is graph.cells
+        # the graph is shared between walks
         assert not getattr(a, name).flags.writeable, name
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -212,8 +212,8 @@ def test_audit_flags_a_port_reading_another_edge(internal, external):
 
 
 def test_diamond_index_bounds():
-    g = small_graph(half_length=2)
+    spec = LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2))
     with pytest.raises(ValueError):
-        g.diamond_index(3, "a")
+        spec.diamond_index(3, "a")
     with pytest.raises(ValueError):
-        g.diamond_index(0, "c")
+        spec.diamond_index(0, "c")

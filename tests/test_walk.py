@@ -40,9 +40,9 @@ def test_initial_state_probability_and_norm():
     g = graph_for(4)
     state = initial_state(g, 0, "a", "right")
     p = cell_probabilities(g, state)
-    assert p[g.half_length] == pytest.approx(1.0, abs=1e-15)
-    assert np.delete(p, g.half_length).max() == 0.0
-    assert state.norm() == pytest.approx(1.0, abs=1e-15)
+    assert p[g.spec.half_length] == pytest.approx(1.0, abs=1e-15)
+    assert np.delete(p, g.spec.half_length).max() == 0.0
+    assert np.sqrt(np.sum(np.abs(state.amplitudes) ** 2)) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
@@ -50,7 +50,7 @@ def test_initial_state_sits_one_substep_before_its_diamond(internal, external):
     g = graph_for(3, internal=internal, external=external)
     for cell in range(-3, 4):
         for subsite in ("a", "b"):
-            d = g.diamond_index(cell, subsite)
+            d = g.spec.diamond_index(cell, subsite)
             for direction, edge, sense, vertex in (("right", d, 0, 2 * d),
                                                    ("left", d + 1, 1, 2 * d + 1)):
                 state = initial_state(g, cell, subsite, direction)
@@ -79,7 +79,7 @@ def test_single_step_preserves_norm():
     g = boundary_graph(4)
     state = initial_state(g, 0, "a", "right")
     after = step(state, g)
-    assert abs(after.norm() - 1.0) <= 1e-12
+    assert abs(np.sqrt(np.sum(np.abs(after.amplitudes) ** 2)) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
@@ -205,11 +205,11 @@ def assert_evolve_matches_plain(state, graph, n_record):
         rows = rows[:-1]
     if len(rows):
         obs = evolve(state, graph, len(rows) - 1)
-        m = graph.cells.astype(float)
+        half = graph.spec.half_length
+        m = np.arange(-half, half + 1).astype(float)
         total = rows.sum(axis=1)
         mean = (rows * m).sum(axis=1) / total
         var = (rows * m**2).sum(axis=1) / total - mean**2
-        half = graph.half_length
         for got, want in ((obs.p_cell, rows), (obs.mean, mean),
                           (obs.sigma, np.sqrt(np.maximum(var, 0.0))),
                           (obs.p_boundary, rows[:, half - 1 : half + 2].sum(axis=1))):
@@ -246,7 +246,7 @@ def test_windowed_walk_matches_plain_walk_next_to_the_chain_ends(internal, exter
             # step writes every slot of its window and reads no other slot,
             # so NaN outside the window stays there and never leaks in.
             n_substeps = 5 * g.spec.substeps_per_hop
-            d = g.diamond_index(cell, subsite)
+            d = g.spec.diamond_index(cell, subsite)
             window = ((0, d + n_substeps + 2) if direction == "left"
                       else (d - n_substeps - 2, last))
             inside = window_mask(g.spec, *window)
@@ -270,7 +270,7 @@ def test_windowed_step_without_out_matches_plain_step_and_is_zero_outside(intern
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
                   internal, external)
     last = g.spec.n_diamonds - 1
-    d = g.diamond_index(0, "a")
+    d = g.spec.diamond_index(0, "a")
     rng = np.random.default_rng(2017)
     for window in ((d - 2, d + 2), (0, 5), (last - 5, last), (0, last), None):
         lo, hi = (0, last) if window is None else window
@@ -321,7 +321,7 @@ def test_windowed_evolve_starts_from_the_state_support(internal, external):
     half = 15
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
                   internal, external)
-    bottom_backward = directed(2 * g.diamond_index(3, "b") + 1, 1)
+    bottom_backward = directed(2 * g.spec.diamond_index(3, "b") + 1, 1)
     amplitudes = np.zeros(g.dim, dtype=complex)
     amplitudes[slots(g.spec, bottom_backward).start + internal // 2] = 1.0
     assert_evolve_matches_plain(WalkState(amplitudes=amplitudes), g, 40)
@@ -340,7 +340,7 @@ def test_windowed_evolve_is_exact_from_every_phase_of_a_hop(internal, external):
     half = 8
     g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
                   internal, external)
-    d = g.diamond_index(0, "a")
+    d = g.spec.diamond_index(0, "a")
     for edge in (2 * d, 2 * d + 1, external_edge(g.spec, d), external_edge(g.spec, d + 1)):
         for direction in (0, 1):
             for slot in range(g.dim)[slots(g.spec, directed(edge, direction))]:
@@ -433,7 +433,7 @@ def test_evolve_record_zero_only():
     g = graph_for(3)
     obs = evolve(initial_state(g, 0, "a", "right"), g, 0)
     assert obs.p_cell.shape == (1, g.spec.n_cells)
-    assert obs.p_cell[0, g.half_length] == pytest.approx(1.0)
+    assert obs.p_cell[0, g.spec.half_length] == pytest.approx(1.0)
 
 
 def test_evolve_rejects_a_negative_record_count():
