@@ -252,6 +252,8 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
 
 def cmd_repro(args) -> int:
     _check_steps(args.steps)
+    if args.nk < 16:  # band_structure's minimum, checked for both figures before any work
+        raise ConfigError(f"--nk must be at least 16, got {args.nk}")
     run_reproduction(args.figure, Path(args.out), steps=args.steps, nk=args.nk)
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 :data:`CONFIG_SCHEMA` describes the format (unknown keys rejected); the
 regions must also be disjoint and cover cells [-half_length, half_length].
-``theta`` defaults to -pi/2 and ``edge_lengths`` to :class:`LatticeSpec`'s defaults.
+``edge_lengths`` defaults to :class:`LatticeSpec`'s; ``theta``, if present, must be
+-pi/2 (``-1.5707963267948966``, the one vertex phase), and any other value is rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ CONFIG_SCHEMA = {
     "required": ["half_length", "regions"],
     "properties": {
         "half_length": {"type": "integer", "minimum": 1},
-        "theta": {"type": "number"},
+        "theta": {"type": "number", "const": DEFAULT_THETA},
         "steps": {"type": "integer", "minimum": 1},
         "regions": {
             "type": "array",
@@ -60,7 +61,6 @@ class RunConfig:
     """Validated run parameters; physical checks done before any computation."""
 
     half_length: int
-    theta: float
     regions: tuple[tuple[int, int, float, float], ...]
     internal_length: int
     external_length: int
@@ -70,7 +70,6 @@ class RunConfig:
         return LatticeSpec(
             half_length=self.half_length,
             profile=PhaseProfile(self.regions),
-            theta=self.theta,
             internal_length=self.internal_length,
             external_length=self.external_length,
         )
@@ -96,6 +95,8 @@ def _first_violation(value, schema: dict, path: str = "") -> tuple[str, str] | N
         return path, f"{json.dumps(value)} is not of type {kind!r}"
     if kind == "number" and not abs(value) <= sys.float_info.max:
         return path, "value must be finite"
+    if "const" in schema and value != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
     if "minimum" in schema and value < schema["minimum"]:
         return path, f"{value} is less than the minimum of {schema['minimum']}"
     children = []
@@ -145,7 +146,6 @@ def parse_config(document: str) -> RunConfig:
 
     return RunConfig(
         half_length=half_length,
-        theta=float(raw.get("theta", DEFAULT_THETA)),
         regions=profile.regions,  # (int, int, float, float) each
         internal_length=int(lengths.get("internal", LatticeSpec.internal_length)),
         external_length=int(lengths.get("external", LatticeSpec.external_length)),

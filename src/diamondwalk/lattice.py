@@ -135,20 +135,17 @@ class PhaseProfile:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Chain geometry: half length M (cells -M..M), phase profile, vertex phase,
-    and edge lengths in sub-steps (internal from the calibrated convention)."""
+    """Chain geometry: half length M (cells -M..M), phase profile and edge lengths in
+    sub-steps (internal from the calibrated convention); every vertex is theta = -pi/2."""
 
     half_length: int
     profile: PhaseProfile
-    theta: float = DEFAULT_THETA
     internal_length: int = DEFAULT_CONVENTION.internal_length
     external_length: int = 1
 
     def __post_init__(self) -> None:
         if self.half_length < 1:
             raise ValueError("half_length must be >= 1")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
         if self.internal_length < 1 or self.external_length < 1:
             raise ValueError("edge lengths must be >= 1")
 
@@ -196,7 +193,7 @@ class LatticeGraph:
     """
 
     spec: LatticeSpec
-    vertex_matrix: np.ndarray  # shared 3x3 unitary (theta is global)
+    vertex_matrix: np.ndarray  # the 3x3 DEFAULT_THETA unitary every vertex shares
     dim: int  # slots in a state; audit_graph checks it against the spec's layout
     in_slot: np.ndarray  # (2 * n_diamonds, 3) last slot of the edge arriving at each port
     out_slot: np.ndarray  # (2 * n_diamonds, 3) first slot of the edge leaving each port
@@ -301,7 +298,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
 
     return LatticeGraph(
         spec=spec,
-        vertex_matrix=vertex_unitary(spec.theta),
+        vertex_matrix=vertex_unitary(DEFAULT_THETA),
         dim=dim,
         **tables,
     )

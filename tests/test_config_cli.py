@@ -11,7 +11,8 @@ from jsonschema import Draft202012Validator
 
 import diamondwalk
 from diamondwalk import (
-    AuditReport, ConfigError, PhaseProfile, cli, diamond, multiport, parse_config,
+    DEFAULT_THETA, AuditReport, ConfigError, PhaseProfile, build_lattice, cli, diamond,
+    multiport, parse_config,
 )
 from diamondwalk.cli import main
 from diamondwalk.config import CONFIG_SCHEMA
@@ -48,8 +49,8 @@ class TestParseConfig:
         assert config.half_length == 8
         assert config.steps == 10
         assert config.regions[0] == (-8, 0, 1.5, 2.5)
-        spec = config.lattice_spec()
-        assert spec.theta == pytest.approx(-math.pi / 2)
+        graph = build_lattice(config.lattice_spec())
+        assert graph.vertex_matrix.tobytes() == multiport.vertex_unitary(DEFAULT_THETA).tobytes()
 
     def test_defaults_applied_when_edge_lengths_omitted(self):
         config = parse_config(json.dumps(FIG5_CONFIG))
@@ -91,9 +92,11 @@ class TestParseConfig:
         (replaced(["regions", 0, "phi_a"], True), "regions[0].phi_a"),
         (replaced(["edge_lengths"], {"internal": 2, "diagonal": 1}), "edge_lengths"),
         (replaced(["regions"], []), "regions"),
+        (replaced(["theta"], 0.0), "theta"),  # the one vertex phase is -pi/2
         ([FIG5_CONFIG], "<document root>"),
     ], ids=["bool-half-length", "fractional-half-length", "bool-phase",
-            "unknown-edge-length", "empty-regions", "non-object-root"])
+            "unknown-edge-length", "empty-regions", "theta-other-than-minus-pi-over-2",
+            "non-object-root"])
     def test_schema_error_names_the_path(self, doc, path):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))
@@ -220,6 +223,33 @@ class TestCli:
         out = tmp_path / "w.csv"
         assert main(["walk", "--config", str(config), "--cell", cell, "--out", str(out)]) == 2
         assert f"config error: cell {cell} outside [-8, 8]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_walk_theta_zero_is_config_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_build(spec):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli, "build_lattice", no_build)
+        config = write_config(tmp_path, dict(FIG5_CONFIG, theta=0.0))
+        out, summary = tmp_path / "w.csv", tmp_path / "s.json"
+        assert main(["walk", "--config", str(config), "--out", str(out),
+                     "--summary", str(summary)]) == 2
+        assert "config error: schema error at theta: " in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig5"])
+    def test_repro_nk_below_sixteen_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch, figure):
+        # fig5 never reads --nk and fig4 would reject it only inside band_structure
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "build_lattice", no_work)
+        monkeypatch.setattr(cli.bands_mod, "band_structure", no_work)
+        out = tmp_path / "out"
+        assert main(["repro", figure, "--out", str(out), "--nk", "8"]) == 2
+        assert "config error: --nk must be at least 16, got 8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("figure", ["fig4", "fig5"])
