@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,9 @@ FIG5_RIGHT = (3.0 * math.pi / 4.0, 0.0)
 # at |phi_a - phi_b| = pi (gaps 0, 0.06, 0.79, 1.6)
 FIG4_PAIRS = ((0.0, 0.0), (0.0, 0.5), (0.0, 2.0), (0.0, math.pi))
 
-# rows per `%` call in _csv: 1024 to 16384 format the fig5 walk CSV equally
-# fast, and the chunk bounds the per-call lists and tuple
+# rows per `%` call in _csv: 512 to 16384 format the 16,384-row table of
+# `sweep --grid 128` equally fast (11.5 ms), and the chunk bounds the per-call
+# lists and tuple
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -62,38 +64,46 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | Path | None) -> None:
-    """Write ``text`` to the file ``out`` (creating its directory) when given, else to stdout."""
+def _emit(chunks: str | Iterable[str], out: str | Path | None) -> None:
+    """Write ``chunks``, one string or an iterable of strings, in order to the
+    file ``out`` (creating its directory) when given, else to stdout.  The
+    first chunk is taken before the file is created, so a generator that
+    rejects its input up front leaves no file behind."""
+    chunks = iter((chunks,) if isinstance(chunks, str) else chunks)
+    first = next(chunks, "")
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            f.write(first)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
 
 
-def _csv(header: str, *columns: np.ndarray) -> str:
-    """CSV text from equal-length arrays: floats at 17 significant digits, the rest by ``str``.
+def _csv(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """CSV chunks from equal-length arrays: floats at 17 significant digits, the rest by ``str``.
 
-    Each chunk of rows is one ``%`` over a repeated row template, so the
-    formatting runs in C and the temporaries are bounded by the chunk.
+    Yields the header line, then each chunk of rows as one ``%`` over a
+    repeated row template, so the formatting runs in C and the temporaries are
+    bounded by the chunk.
     """
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise AssertionError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     width = len(columns)
-    parts = [header + "\n"]
+    yield header + "\n"
     for start in range(0, n_rows, _CSV_CHUNK_ROWS):
         stop = min(start + _CSV_CHUNK_ROWS, n_rows)
         flat = [None] * ((stop - start) * width)
         for i, c in enumerate(columns):
             flat[i::width] = c[start:stop].tolist()
-        parts.append((row * (stop - start)) % tuple(flat))
-    return "".join(parts)
+        yield (row * (stop - start)) % tuple(flat)
 
 
-def _bands_csv(result: bands_mod.BandResult) -> str:
+def _bands_csv(result: bands_mod.BandResult) -> Iterator[str]:
     return _csv("k,e_plus,e_minus,abs_ta,abs_tb", result.k_grid, result.e_plus,
                 -result.e_plus, result.abs_ta, result.abs_tb)
 
@@ -134,16 +144,29 @@ def cmd_sweep(args) -> int:
     n_a, n_b = diagram.gap.shape
     nu = diagram.nu.ravel()
     nu_text = np.where(np.isnan(nu), "", np.nan_to_num(nu).astype(np.int64).astype(str))
-    text = _csv("phi_a,phi_b,gap,nu,flag", np.repeat(diagram.phi_a, n_b),
-                np.tile(diagram.phi_b, n_a), diagram.gap.ravel(), nu_text, diagram.flag.ravel())
-    _emit(text, args.out)
+    _emit(_csv("phi_a,phi_b,gap,nu,flag", np.repeat(diagram.phi_a, n_b),
+               np.tile(diagram.phi_b, n_a), diagram.gap.ravel(), nu_text, diagram.flag.ravel()),
+          args.out)
     return EXIT_OK
 
 
-def _walk_csv(obs: walk_mod.WalkObservables) -> str:
-    n_records, n_cells = obs.p_cell.shape
-    return _csv("t,m,p", np.repeat(obs.records, n_cells), np.tile(obs.cells, n_records),
-                obs.p_cell.ravel())
+def _walk_csv(obs: walk_mod.WalkObservables) -> Iterator[str]:
+    """The walk's ``t,m,p`` rows, a record at a time, as ``_csv`` would format them.
+
+    A record's cells outside its ``cell_span`` hold exactly +0.0, which
+    ``%.17g`` writes as ``0``, so each such run is one ``str.join`` over the
+    cell labels; the span is one ``%`` over the cells' row fragments.
+    """
+    cells = [str(m) for m in obs.cells.tolist()]
+    fragments = [f"{m},%.17g\n" for m in cells]
+    yield "t,m,p\n"
+    for t, (first, last), row in zip(obs.records.tolist(), obs.cell_span.tolist(), obs.p_cell):
+        head, span = f"{t},", slice(first, last + 1)
+        if first:
+            yield head + (",0\n" + head).join(cells[:first]) + ",0\n"
+        yield (head + head.join(fragments[span])) % tuple(row[span].tolist())
+        if last + 1 < len(cells):
+            yield head + (",0\n" + head).join(cells[last + 1 :]) + ",0\n"
 
 
 def _walk_summary(obs: walk_mod.WalkObservables) -> dict:
@@ -173,6 +196,9 @@ def _check_steps(steps: int | None) -> None:
 
 def cmd_walk(args) -> int:
     _check_steps(args.steps)
+    for option, path in ("--out", args.out), ("--summary", args.summary):
+        if path and Path(path).is_dir():  # would fail only after the walk, at the write
+            raise ConfigError(f"{option} {path} is a directory")
     config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     steps = args.steps if args.steps is not None else config.steps
     if steps is None:

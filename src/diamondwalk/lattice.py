@@ -240,6 +240,16 @@ def _window_slots(graph: LatticeGraph,
             slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
 
 
+def _window_cells(graph: LatticeGraph, window: tuple[int, int]) -> tuple[int, int]:
+    """First and last cell position that the slots of ``window`` count toward:
+    those of the left-moving slots of external edge ``lo`` and of the
+    right-moving slots of external edge ``hi + 1``, the window's outermost."""
+    _, _, _, external = _window_slots(graph, window)
+    length = graph.spec.external_length
+    return (int(graph.slot_cell[external.start + length]),
+            int(graph.slot_cell[external.stop - 2 * length]))
+
+
 def _diamond_phases(spec: LatticeSpec) -> np.ndarray:
     """``exp(i phi_d)``, the phase of each diamond's bottom edge, in diamond order."""
     return np.exp(1j * np.column_stack(spec.profile.phases(spec.half_length)).ravel())

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGraph, _window_slots
+from .lattice import LatticeGraph, _window_cells, _window_slots
 
 __all__ = [
     "LightConeOverflow",
@@ -64,13 +64,17 @@ class WalkObservables:
     """Cell-resolved probabilities and summary statistics per recorded time.
 
     ``p_cell[r, i]`` is the probability in cell ``cells[i]`` at record ``r``
-    (record 0 is the initial state).  ``p_boundary`` sums cells |m| <= 1.
+    (record 0 is the initial state).  ``cell_span[r]`` is the first and last
+    column (inclusive) that record ``r``'s light-cone window counts toward;
+    every entry of row ``r`` outside it is exactly +0.0.  ``p_boundary`` sums
+    cells |m| <= 1.
     """
 
     cells: np.ndarray
     records: np.ndarray
     substeps_per_record: int
     p_cell: np.ndarray
+    cell_span: np.ndarray
     mean: np.ndarray
     sigma: np.ndarray
     p_boundary: np.ndarray
@@ -136,11 +140,12 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     # outside the window, which reads only zeros (or by the left mirror)
     new[external.start] = 0
     rows = slice(2 * lo, 2 * hi + 2)
-    ends = slice(lo != 0, 1 + (hi == graph.spec.n_diamonds - 1))  # mirrors the window reaches
     incoming = old[graph.in_slot[rows]]                # (window vertices, 3)
     outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
     new[graph.out_slot[rows]] = outgoing * graph.out_phase[rows]
-    new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]
+    ends = slice(lo != 0, 1 + (hi == graph.spec.n_diamonds - 1))  # mirrors the window reaches
+    if ends.start < ends.stop:  # most windows reach neither chain end
+        new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]
     return WalkState(amplitudes=new)
 
 
@@ -176,8 +181,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     a state with no nonzero amplitude or a NaN or infinite one, and
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
-    unobservable.  Holds ``p_cell`` (exactly zero outside the light cone), two
-    state-sized buffers and one row buffer for the moments.
+    unobservable.  Holds ``p_cell`` (exactly zero outside each record's
+    ``cell_span``), two state-sized buffers and one row buffer for the moments.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
@@ -211,6 +216,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     m2 = m**2
     n_rows = n_record + 1
     p_cell = np.empty((n_rows, m.size))
+    cell_span = np.empty((n_rows, 2), dtype=int)
     # per record, through one row buffer: the total and the sums of p m and
     # p m^2, each over the full row (a sum over the window changes the bits)
     sums, buf = np.empty((3, n_rows)), np.empty_like(m)
@@ -220,6 +226,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
             for _ in range(substeps_per_record):
                 state, spare = step(state, graph, window=(lo, hi), out=spare), state.amplitudes
         p_cell[r] = row = cell_probabilities(graph, state, window=(lo, hi))
+        cell_span[r] = _window_cells(graph, (lo, hi))
         sums[:, r] = (row.sum(), np.multiply(row, m, out=buf).sum(),
                       np.multiply(row, m2, out=buf).sum())
         if row[0] + row[-1] > _END_LEAK_TOL:
@@ -239,6 +246,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
         records=np.arange(n_rows),
         substeps_per_record=substeps_per_record,
         p_cell=p_cell,
+        cell_span=cell_span,
         mean=mean,
         sigma=sigma,
         p_boundary=p_boundary,

@@ -1,6 +1,8 @@
 """The per-cell CSV builder: one Python call per cell and one ``",".join`` per
 row.  :func:`diamondwalk.cli._csv` formats whole chunks of rows with one
-``%`` instead; the tests require it to give exactly these bytes.
+``%`` instead, and :func:`diamondwalk.cli._walk_csv` a walk record's zero runs
+with one ``str.join`` and its light-cone span with one ``%``; the tests
+require both to give exactly these bytes.
 """
 
 

@@ -225,6 +225,22 @@ class TestCli:
         assert f"config error: cell {cell} outside [-8, 8]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--out", "--summary"])
+    def test_walk_output_directory_is_config_error_before_the_build(self, tmp_path, capsys,
+                                                                    monkeypatch, option):
+        def no_build(spec):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli, "build_lattice", no_build)
+        config = write_config(tmp_path, FIG5_CONFIG)
+        paths = {"--out": tmp_path / "w.csv", "--summary": tmp_path / "s.json"}
+        paths[option].mkdir()
+        assert main(["walk", "--config", str(config), "--out", str(paths["--out"]),
+                     "--summary", str(paths["--summary"])]) == 2
+        assert f"config error: {option} {paths[option]} is a directory" in capsys.readouterr().err
+        assert paths["--out"].is_dir() if option == "--out" else not paths["--out"].exists()
+        assert not paths["--summary"].is_file()
+
     def test_walk_theta_zero_is_config_error_and_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch):
         def no_build(spec):

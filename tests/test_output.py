@@ -1,13 +1,16 @@
-"""CLI output bytes: the chunked CSV builder against its per-cell reference,
-a pinned walk whose light-cone window never reaches the chain ends, and a fig5
-walk whose values agree across BLAS kernels and SIMD levels."""
+"""CLI output bytes: the chunked table CSV and the streamed walk CSV against
+their per-cell reference, the walk CSV's memory while it is written, a pinned
+walk whose light-cone window never reaches the chain ends, and a fig5 walk
+whose values agree across BLAS kernels and SIMD levels."""
 
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,11 @@ from hypothesis import strategies as st
 
 from csv_oracle import per_cell_csv
 import diamondwalk
+from diamondwalk import LatticeSpec, PhaseProfile, build_lattice
 from diamondwalk import walk as walk_mod
-from diamondwalk.cli import _CSV_CHUNK_ROWS, _csv, main
+from diamondwalk.cli import (
+    _CSV_CHUNK_ROWS, FIG5_LEFT, FIG5_RIGHT, _csv, _emit, _walk_csv, main,
+)
 
 INT64 = np.iinfo(np.int64)
 POOLS = {
@@ -34,7 +40,7 @@ CHUNK = _CSV_CHUNK_ROWS
 def test_csv_matches_per_cell_reference_across_chunk_edges(n_rows):
     rng = np.random.default_rng(n_rows)
     columns = [rng.choice(POOLS[kind], n_rows) for kind in "fiUbf"]
-    assert _csv("a,b,c,d,e", *columns) == per_cell_csv("a,b,c,d,e", *columns)
+    assert "".join(_csv("a,b,c,d,e", *columns)) == per_cell_csv("a,b,c,d,e", *columns)
 
 
 ELEMENTS = (
@@ -57,12 +63,93 @@ def equal_length_columns(draw):
 @given(equal_length_columns())
 def test_csv_matches_per_cell_reference_for_mixed_columns(columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
-    assert _csv(header, *columns) == per_cell_csv(header, *columns)
+    assert "".join(_csv(header, *columns)) == per_cell_csv(header, *columns)
 
 
-def test_csv_rejects_columns_of_different_lengths():
+def test_csv_rejects_columns_of_different_lengths(tmp_path):
+    out = tmp_path / "out" / "table.csv"
     with pytest.raises(AssertionError, match="differ in length"):
-        _csv("a,b", np.arange(3), np.arange(2))
+        _emit(_csv("a,b", np.arange(3), np.arange(2)), out)
+    assert not out.exists()
+
+
+def walk(half_length, cell, subsite, direction, n_record, *, regions=(FIG5_LEFT, FIG5_RIGHT),
+         boundary=0, internal=2, external=1):
+    """Observables of a two-region walk, cut one record before a light-cone overflow."""
+    profile = PhaseProfile.two_region(*regions, half_length, boundary=boundary)
+    graph = build_lattice(LatticeSpec(half_length=half_length, profile=profile,
+                                      internal_length=internal, external_length=external))
+    state = walk_mod.initial_state(graph, cell, subsite, direction)
+    try:
+        return walk_mod.evolve(state, graph, n_record)
+    except walk_mod.LightConeOverflow as exc:
+        overflow = int(re.search(r"at record (\d+);", str(exc)).group(1))
+        return walk_mod.evolve(state, graph, overflow - 1)
+
+
+def per_cell_walk_csv(obs):
+    n_records, n_cells = obs.p_cell.shape
+    return per_cell_csv("t,m,p", np.repeat(obs.records, n_cells), np.tile(obs.cells, n_records),
+                        obs.p_cell.ravel())
+
+
+@pytest.mark.parametrize("case", ["fig5-boundary", "fig5-uniform", "span-from-the-first-cell",
+                                  "span-to-the-last-cell", "record-zero-only"])
+def test_walk_csv_matches_per_cell_reference(case):
+    fig5_half = walk_mod.auto_half_length(200)
+    obs = {
+        "fig5-boundary": lambda: walk(fig5_half, 0, "a", "right", 200),
+        "fig5-uniform": lambda: walk(fig5_half, 0, "a", "right", 200, regions=((0.0, 0.0),) * 2),
+        # next to an end the walk overflows at record 2
+        "span-from-the-first-cell": lambda: walk(6, -5, "b", "left", 1),
+        "span-to-the-last-cell": lambda: walk(6, 5, "a", "right", 1),
+        "record-zero-only": lambda: walk(6, 0, "a", "right", 0),
+    }[case]()
+    first, last = obs.cell_span.min(axis=0)[0], obs.cell_span.max(axis=0)[1]
+    if case == "span-from-the-first-cell":
+        assert first == 0 and last < obs.cells.size - 1
+    elif case == "span-to-the-last-cell":
+        assert first > 0 and last == obs.cells.size - 1
+    else:
+        assert first > 0 and last < obs.cells.size - 1
+    assert "".join(_walk_csv(obs)) == per_cell_walk_csv(obs)
+
+
+PHASE = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(2, 10), data=st.data())
+def test_walk_csv_matches_per_cell_reference_on_random_chains(half, data):
+    draw = data.draw
+    regions = tuple((draw(PHASE), draw(PHASE)) for _ in range(2))
+    obs = walk(half, draw(st.integers(1 - half, half - 1)), draw(st.sampled_from("ab")),
+               draw(st.sampled_from(("left", "right"))), draw(st.integers(0, 2 * half + 8)),
+               regions=regions, boundary=draw(st.integers(-half, half - 1)),
+               internal=draw(st.integers(1, 3)), external=draw(st.integers(1, 2)))
+    assert "".join(_walk_csv(obs)) == per_cell_walk_csv(obs)
+
+
+def test_walk_csv_is_written_a_record_at_a_time(tmp_path):
+    # measured with tracemalloc: writing these 6.6 MB of CSV text, whose longest
+    # record is 36 kB, peaks at 466 kB, of which 390 kB are the cell labels and
+    # row fragments built once per CSV; the whole-text builder that the stream
+    # replaced peaked at 22.9 MB
+    obs = walk(1500, 0, "a", "right", 200)
+    out = tmp_path / "walk.csv"
+    tracemalloc.start()
+    try:
+        _emit(_walk_csv(obs), out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = out.read_text(encoding="utf-8")
+    assert text == per_cell_walk_csv(obs)
+    n_cells = obs.cells.size
+    lines = np.array([len(line) for line in text.splitlines(keepends=True)[1:]])
+    longest_record = lines.reshape(-1, n_cells).sum(axis=1).max()
+    assert len(text) >= 5_000_000
+    assert peak < 16 * longest_record
 
 
 # 60 records grow the window one diamond per record from the injection

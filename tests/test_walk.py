@@ -15,6 +15,7 @@ from diamondwalk import (
     step,
 )
 from diamondwalk import walk
+from diamondwalk.lattice import _window_cells
 from diamondwalk.walk import WalkState, cell_probabilities
 from step_oracle import assemble_step_operator, directed, external_edge, plain_step, slots
 
@@ -262,6 +263,60 @@ def test_windowed_walk_matches_plain_walk_next_to_the_chain_ends(internal, exter
                 assert np.isnan(out[~inside]).all() and not plain[~inside].any()
                 reflected |= plain[mirrored] != 0
             assert reflected
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_window_cells_are_the_cells_its_slots_count_toward(internal, external):
+    g = graph_for(4, internal=internal, external=external)
+    last = g.spec.n_diamonds - 1
+    for lo in range(last + 1):
+        for hi in range(lo, last + 1):
+            owners = g.slot_cell[window_mask(g.spec, lo, hi)]
+            assert _window_cells(g, (lo, hi)) == (owners.min(), owners.max())
+
+
+def assert_zero_outside_cell_span(obs):
+    """Every ``p_cell`` entry outside its record's ``cell_span`` is +0.0 (all
+    bits clear), and no entry anywhere is -0.0 or another negative number."""
+    n_rows, n_cells = obs.p_cell.shape
+    assert obs.cell_span.shape == (n_rows, 2)
+    columns = np.arange(n_cells)
+    outside = (columns < obs.cell_span[:, :1]) | (columns > obs.cell_span[:, 1:])
+    assert not obs.p_cell.view(np.int64)[outside].any()
+    assert not np.signbit(obs.p_cell).any()
+
+
+@pytest.mark.parametrize("walk_name", ["boundary", "uniform"])
+def test_fig5_walk_is_zero_outside_its_cell_span(walk_name):
+    half = auto_half_length(200)
+    g = boundary_graph(half) if walk_name == "boundary" else graph_for(half)
+    obs = evolve(initial_state(g, 0, "a", "right"), g, 200)
+    assert_zero_outside_cell_span(obs)
+    assert 0 < obs.cell_span.min() and obs.cell_span.max() < g.spec.n_cells - 1
+
+
+@pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
+def test_walk_next_to_the_chain_ends_is_zero_outside_its_cell_span(internal, external):
+    rng = np.random.default_rng(100 + internal * 10 + external)
+    for _ in range(4):
+        half = int(rng.integers(3, 12))
+        profile = PhaseProfile.two_region(tuple(rng.uniform(0, 2 * np.pi, 2)),
+                                          tuple(rng.uniform(0, 2 * np.pi, 2)), half,
+                                          boundary=int(rng.integers(-half, half)))
+        g = graph_for(half, profile, internal, external)
+        for cell, direction in ((1 - half, "left"), (half - 1, "right")):
+            state = initial_state(g, cell, str(rng.choice(["a", "b"])), direction)
+            n_record = 0
+            while True:  # every record count up to the light-cone overflow
+                try:
+                    obs = evolve(state, g, n_record)
+                except LightConeOverflow:
+                    break
+                assert_zero_outside_cell_span(obs)
+                n_record += 1
+            assert n_record > 0
+            end_cell = 0 if direction == "left" else g.spec.n_cells - 1
+            assert (obs.cell_span == end_cell).any()  # the span reached the chain's end
 
 
 @pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
