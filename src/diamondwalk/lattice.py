@@ -197,7 +197,7 @@ class LatticeGraph:
     dim: int  # slots in a state; audit_graph checks it against the spec's layout
     in_slot: np.ndarray  # (2 * n_diamonds, 3) last slot of the edge arriving at each port
     out_slot: np.ndarray  # (2 * n_diamonds, 3) first slot of the edge leaving each port
-    out_phase: np.ndarray  # (2 * n_diamonds, 3) phase applied on entering the leaving edge
+    port_c_phase: np.ndarray  # (2 * n_diamonds,) exp(i phi_d) port C applies on the bottom edge
     mirror_src: np.ndarray  # (2,) last slots running into the left and right mirror
     mirror_dst: np.ndarray  # (2,) first slots they reflect into
 
@@ -278,8 +278,6 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     out_slot[:, 0, 0], out_slot[:, 1, 0] = external[:-1, 1, 0], external[1:, 0, 0]
     in_slot[:, :, 1:] = internal[:, :, ::-1, -1].transpose(0, 2, 1)
     out_slot[:, :, 1:] = internal[:, :, :, 0].transpose(0, 2, 1)
-    out_phase = np.ones((n_diamonds, 2, 3), dtype=complex)
-    out_phase[:, :, 2] = _diamond_phases(spec)[:, None]
 
     # mirror terminations: the backward end of the left stub and the forward
     # end of the right stub, each reflected into the opposite direction
@@ -301,7 +299,7 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     external_cell[:, 1] = (np.maximum(edge - 1, 0) // 2)[:, None]
 
     tables = dict(in_slot=in_slot.reshape(-1, 3), out_slot=out_slot.reshape(-1, 3),
-                  out_phase=out_phase.reshape(-1, 3), mirror_src=mirror_src,
+                  port_c_phase=_diamond_phases(spec).repeat(2), mirror_src=mirror_src,
                   mirror_dst=mirror_dst, slot_cell=slot_cell)
     for arr in tables.values():
         arr.setflags(write=False)
@@ -336,9 +334,9 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
     """Structural audit of the step tables against the spec's slot layout.
 
     Checks that one sub-step is a bijection of slots, that every vertex port
-    and mirror is local, that the output phases are the spec's diamond phases
-    and that every slot counts toward a cell.  Returns the spec's counts and a
-    list of violations; an intact graph reports none.
+    and mirror is local, that each vertex's port-C phase is its diamond's
+    ``exp(i phi_d)`` and that every slot counts toward a cell.  Returns the
+    spec's counts and a list of violations; an intact graph reports none.
     """
     violations: list[str] = []
     spec = graph.spec
@@ -387,12 +385,9 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
         if np.any((offset < 0) | (offset > (writes >= internal.size))):
             violations.append("a vertex port or mirror writes outside its diamond's window")
 
-    # every vertex output picks up the phase of the edge it enters: 1 on ports
-    # A and B, the diamond's exp(i phi_d) on port C
-    expected_phase = np.ones((2 * n_diamonds, 3), dtype=complex)
-    expected_phase[:, 2] = _diamond_phases(spec).repeat(2)
-    if not np.array_equal(graph.out_phase, expected_phase):
-        violations.append("out_phase differs from the phase of the edge each port writes")
+    # port C enters the bottom edge, whose phase is the diamond's exp(i phi_d)
+    if not np.array_equal(graph.port_c_phase, _diamond_phases(spec).repeat(2)):
+        violations.append("port_c_phase differs from the phase of each vertex's diamond")
 
     # every slot's probability is attributed to a cell of the chain
     if np.any((graph.slot_cell < 0) | (graph.slot_cell >= spec.n_cells)):

@@ -140,9 +140,9 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     # outside the window, which reads only zeros (or by the left mirror)
     new[external.start] = 0
     rows = slice(2 * lo, 2 * hi + 2)
-    incoming = old[graph.in_slot[rows]]                # (window vertices, 3)
-    outgoing = incoming @ graph.vertex_matrix.T        # out[p] = sum_q U[p, q] in[q]
-    new[graph.out_slot[rows]] = outgoing * graph.out_phase[rows]
+    outgoing = old[graph.in_slot[rows]] @ graph.vertex_matrix.T  # out[p] = sum_q U[p, q] in[q]
+    outgoing[:, 2] *= graph.port_c_phase[rows]  # port C enters the phase-shifted bottom edge
+    new[graph.out_slot[rows]] = outgoing
     ends = slice(lo != 0, 1 + (hi == graph.spec.n_diamonds - 1))  # mirrors the window reaches
     if ends.start < ends.stop:  # most windows reach neither chain end
         new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]

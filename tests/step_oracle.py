@@ -92,7 +92,9 @@ def plain_step(amplitudes: np.ndarray, graph) -> np.ndarray:
     every edge."""
     new = np.empty_like(amplitudes)
     new[1:] = amplitudes[:-1]
-    new[graph.out_slot] = (amplitudes[graph.in_slot] @ graph.vertex_matrix.T) * graph.out_phase
+    outgoing = amplitudes[graph.in_slot] @ graph.vertex_matrix.T
+    outgoing[:, 2] *= graph.port_c_phase
+    new[graph.out_slot] = outgoing
     new[graph.mirror_dst] = -amplitudes[graph.mirror_src]
     return new
 

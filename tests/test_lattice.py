@@ -35,7 +35,8 @@ def test_counts_m1():
 def test_every_vertex_has_three_wired_ports():
     g = small_graph(half_length=1)
     assert np.all(g.in_slot >= 0) and np.all(g.out_slot >= 0)
-    assert g.in_slot.shape == g.out_slot.shape == g.out_phase.shape == (2 * g.spec.n_diamonds, 3)
+    assert g.in_slot.shape == g.out_slot.shape == (2 * g.spec.n_diamonds, 3)
+    assert g.port_c_phase.shape == (2 * g.spec.n_diamonds,)
 
 
 def test_counts_m50():
@@ -53,16 +54,16 @@ def test_profile_maps_to_diamond_phases():
         for subsite, phi in zip("ab", expected):
             d = g.spec.diamond_index(m, subsite)
             # port C of both vertices writes the diamond's bottom edge
-            assert g.out_phase[[2 * d, 2 * d + 1], 2] == pytest.approx(np.exp(1j * phi))
+            assert g.port_c_phase[[2 * d, 2 * d + 1]] == pytest.approx(np.exp(1j * phi))
 
 
 def test_shifted_edge_carries_the_phase():
     g = small_graph(half_length=1, profile=PhaseProfile.uniform(0.7, 0.7, 1))
     d = g.spec.diamond_index(0, "a")
     vertices = [2 * d, 2 * d + 1]
-    # ports A and B write the external and top edges, port C the bottom edge
-    assert np.all(g.out_phase[vertices, :2] == 1.0)
-    assert g.out_phase[vertices, 2] == pytest.approx(np.exp(0.7j))
+    # ports A and B write the external and top edges, which carry no phase;
+    # port C writes the bottom edge
+    assert g.port_c_phase[vertices] == pytest.approx(np.exp(0.7j))
 
 
 def test_rebuild_is_deterministic():
@@ -108,9 +109,15 @@ def test_step_tables_equal_the_wiring_restated_from_the_spec(internal, external)
     spec = LatticeSpec(half_length=2, profile=profile,
                        internal_length=internal, external_length=external)
     g = build_lattice(spec)
-    for name, table in wiring(spec).items():
+    tables = wiring(spec)
+    out_phase = tables.pop("out_phase")
+    for name, table in tables.items():
         assert getattr(g, name).dtype == table.dtype, name
         assert np.array_equal(getattr(g, name), table), name
+    # the graph keeps only port C's phase: ports A and B enter unshifted edges
+    assert g.port_c_phase.dtype == out_phase.dtype
+    assert np.array_equal(g.port_c_phase, out_phase[:, 2])
+    assert np.all(out_phase[:, :2] == 1.0)
 
 
 def test_rejects_profile_not_covering_chain():
@@ -179,16 +186,17 @@ def test_audit_flags_corrupted_step_tables(internal, external):
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
 def test_audit_flags_a_wrong_output_phase(internal, external):
-    g = build_lattice(LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
+    profile = PhaseProfile.two_region(FIG5_PAIRS[0], FIG5_PAIRS[1], 2, boundary=0)
+    g = build_lattice(LatticeSpec(half_length=2, profile=profile,
                                   internal_length=internal, external_length=external))
-    out_phase = g.out_phase.copy()
-    out_phase[8, :] = 2.0  # not the phase of the edges vertex 8 writes, nor unimodular
-    report = audit_graph(dataclasses.replace(g, out_phase=out_phase))
-    assert report.violations == ("out_phase differs from the phase of the edge each port writes",)
-    out_phase = g.out_phase.copy()
-    out_phase[3, 2] = np.exp(0.5j)  # unimodular, but not the diamond's phase
-    report = audit_graph(dataclasses.replace(g, out_phase=out_phase))
-    assert report.violations == ("out_phase differs from the phase of the edge each port writes",)
+    message = ("port_c_phase differs from the phase of each vertex's diamond",)
+    port_c_phase = g.port_c_phase.copy()
+    port_c_phase[8] = 2.0  # not the phase of vertex 8's bottom edge, nor unimodular
+    assert audit_graph(dataclasses.replace(g, port_c_phase=port_c_phase)).violations == message
+    port_c_phase = g.port_c_phase.copy()
+    port_c_phase[3] = g.port_c_phase[4]  # unimodular, but the next diamond's phase
+    assert port_c_phase[3] != g.port_c_phase[3]
+    assert audit_graph(dataclasses.replace(g, port_c_phase=port_c_phase)).violations == message
 
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
