@@ -155,16 +155,20 @@ def _walk_csv(obs: walk_mod.WalkObservables) -> Iterator[str]:
 
     A record's cells outside its ``cell_span`` hold exactly +0.0, which
     ``%.17g`` writes as ``0``, so each such run is one ``str.join`` over the
-    cell labels; the span is one ``%`` over the cells' row fragments.
+    cell labels; the span, read from ``p_span``, is one ``%`` over the
+    cells' row fragments.
     """
     cells = [str(m) for m in obs.cells.tolist()]
     fragments = [f"{m},%.17g\n" for m in cells]
     yield "t,m,p\n"
-    for t, (first, last), row in zip(obs.records.tolist(), obs.cell_span.tolist(), obs.p_cell):
-        head, span = f"{t},", slice(first, last + 1)
+    start = 0  # of the record's span in p_span
+    for t, (first, last) in zip(obs.records.tolist(), obs.cell_span.tolist()):
+        head, stop = f"{t},", start + last + 1 - first
         if first:
             yield head + (",0\n" + head).join(cells[:first]) + ",0\n"
-        yield (head + head.join(fragments[span])) % tuple(row[span].tolist())
+        values = tuple(obs.p_span[start:stop].tolist())
+        yield (head + head.join(fragments[first : last + 1])) % values
+        start = stop
         if last + 1 < len(cells):
             yield head + (",0\n" + head).join(cells[last + 1 :]) + ",0\n"
 

@@ -330,6 +330,55 @@ def _multiplicity(table: np.ndarray, size: int) -> np.ndarray | None:
     return np.bincount(flat, minlength=size)
 
 
+def _bijection_violations(graph: LatticeGraph) -> list[str]:
+    """The sub-step is a bijection of slots: vertices and mirrors read distinct
+    edge ends and write distinct edge starts, the last slot is an end, and
+    every slot is written exactly once, by a start or by the shift from a
+    non-end at s - 1."""
+    ends = _multiplicity(np.concatenate((graph.in_slot.ravel(), graph.mirror_src)), graph.dim)
+    starts = _multiplicity(np.concatenate((graph.out_slot.ravel(), graph.mirror_dst)), graph.dim)
+    if ends is None or starts is None:
+        return ["step slot tables point outside the state"]
+    violations = []
+    if max(ends.max(), starts.max()) > 1:
+        violations.append("a slot is read or written by more than one vertex port or mirror")
+    written = starts.copy()
+    written[1:] += ends[:-1] == 0
+    if ends[-1] != 1 or np.any(written != 1):
+        violations.append("step does not write every slot exactly once")
+    return violations
+
+
+def _locality_violations(graph: LatticeGraph) -> list[str]:
+    """Locality: a vertex port or mirror reads the last slot of the edge it
+    writes, traversed the other way, and writes that edge's first slot, within
+    its own diamond's window (its internal edges and the external edges on
+    either side).  So amplitude needs a record to cross a diamond, and the
+    walk's light-cone window grows one diamond per record.  Meaningful only
+    once the slots are a bijection."""
+    spec = graph.spec
+    n_diamonds = spec.n_diamonds
+    violations = []
+    reverse_end = np.full(graph.dim, -1)  # at each edge's first slot
+    lowest = np.empty(graph.dim, dtype=int)  # lowest diamond whose window holds a slot
+    internal, external = _slot_views(np.arange(graph.dim), spec)
+    reverse_internal, reverse_external = _slot_views(reverse_end, spec)
+    reverse_internal[..., 0] = internal[:, :, ::-1, -1]
+    reverse_external[..., 0] = external[:, ::-1, -1]
+    lowest_internal, lowest_external = _slot_views(lowest, spec)
+    lowest_internal[...] = np.arange(n_diamonds)[:, None, None, None]
+    lowest_external[...] = np.arange(-1, n_diamonds)[:, None, None]
+    if not (np.array_equal(graph.in_slot, reverse_end[graph.out_slot])
+            and np.array_equal(graph.mirror_src, reverse_end[graph.mirror_dst])):
+        violations.append("a vertex port or mirror does not read the edge it writes")
+    writes = np.concatenate((graph.out_slot.ravel(), graph.mirror_dst))
+    owner = np.concatenate((np.arange(n_diamonds).repeat(6), [0, n_diamonds - 1]))
+    offset = owner - lowest[writes]
+    if np.any((offset < 0) | (offset > (writes >= internal.size))):
+        violations.append("a vertex port or mirror writes outside its diamond's window")
+    return violations
+
+
 def audit_graph(graph: LatticeGraph) -> AuditReport:
     """Structural audit of the step tables against the spec's slot layout.
 
@@ -343,47 +392,10 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
     n_diamonds = spec.n_diamonds
     if graph.dim != _n_slots(spec):
         violations.append(f"{graph.dim} slots, but the spec's layout has {_n_slots(spec)}")
-
-    # the sub-step is a bijection of slots: vertices and mirrors read distinct
-    # edge ends and write distinct edge starts, the last slot is an end, and
-    # every slot is written exactly once, by a start or by the shift from a
-    # non-end at s - 1
-    ends = _multiplicity(np.concatenate((graph.in_slot.ravel(), graph.mirror_src)), graph.dim)
-    starts = _multiplicity(np.concatenate((graph.out_slot.ravel(), graph.mirror_dst)), graph.dim)
-    if ends is None or starts is None:
-        violations.append("step slot tables point outside the state")
-    else:
-        if max(ends.max(), starts.max()) > 1:
-            violations.append("a slot is read or written by more than one vertex port or mirror")
-        written = starts.copy()
-        written[1:] += ends[:-1] == 0
-        if ends[-1] != 1 or np.any(written != 1):
-            violations.append("step does not write every slot exactly once")
-
-    # locality: a vertex port or mirror reads the last slot of the edge it
-    # writes, traversed the other way, and writes that edge's first slot,
-    # within its own diamond's window (its internal edges and the external
-    # edges on either side).  So amplitude needs a record to cross a diamond,
-    # and the walk's light-cone window grows one diamond per record.  Checked
-    # once the slots are a bijection.
+    # each check's tables are freed when it returns, before the next allocates
+    violations += _bijection_violations(graph)
     if not violations and graph.out_slot.size == 6 * n_diamonds:
-        reverse_end = np.full(graph.dim, -1)  # at each edge's first slot
-        lowest = np.empty(graph.dim, dtype=int)  # lowest diamond whose window holds a slot
-        internal, external = _slot_views(np.arange(graph.dim), spec)
-        reverse_internal, reverse_external = _slot_views(reverse_end, spec)
-        reverse_internal[..., 0] = internal[:, :, ::-1, -1]
-        reverse_external[..., 0] = external[:, ::-1, -1]
-        lowest_internal, lowest_external = _slot_views(lowest, spec)
-        lowest_internal[...] = np.arange(n_diamonds)[:, None, None, None]
-        lowest_external[...] = np.arange(-1, n_diamonds)[:, None, None]
-        if not (np.array_equal(graph.in_slot, reverse_end[graph.out_slot])
-                and np.array_equal(graph.mirror_src, reverse_end[graph.mirror_dst])):
-            violations.append("a vertex port or mirror does not read the edge it writes")
-        writes = np.concatenate((graph.out_slot.ravel(), graph.mirror_dst))
-        owner = np.concatenate((np.arange(n_diamonds).repeat(6), [0, n_diamonds - 1]))
-        offset = owner - lowest[writes]
-        if np.any((offset < 0) | (offset > (writes >= internal.size))):
-            violations.append("a vertex port or mirror writes outside its diamond's window")
+        violations += _locality_violations(graph)
 
     # port C enters the bottom edge, whose phase is the diamond's exp(i phi_d)
     if not np.array_equal(graph.port_c_phase, _diamond_phases(spec).repeat(2)):

@@ -63,21 +63,35 @@ class WalkState:
 class WalkObservables:
     """Cell-resolved probabilities and summary statistics per recorded time.
 
-    ``p_cell[r, i]`` is the probability in cell ``cells[i]`` at record ``r``
-    (record 0 is the initial state).  ``cell_span[r]`` is the first and last
-    column (inclusive) that record ``r``'s light-cone window counts toward;
-    every entry of row ``r`` outside it is exactly +0.0.  ``p_boundary`` sums
+    ``cell_span[r]`` is the first and last position in ``cells`` (inclusive)
+    that record ``r``'s light-cone window counts toward (record 0 is the
+    initial state); every cell outside it holds exactly +0.0 probability, so
+    only the spans are stored.  ``p_span`` holds each record's span of cell
+    probabilities in record order: record ``r``'s values are the next
+    ``cell_span[r, 1] - cell_span[r, 0] + 1`` entries.  ``p_boundary`` sums
     cells |m| <= 1.
     """
 
     cells: np.ndarray
     records: np.ndarray
     substeps_per_record: int
-    p_cell: np.ndarray
+    p_span: np.ndarray
     cell_span: np.ndarray
     mean: np.ndarray
     sigma: np.ndarray
     p_boundary: np.ndarray
+
+    @property
+    def p_cell(self) -> np.ndarray:
+        """The dense ``(records, cells)`` table: ``p_cell[r, i]`` is the
+        probability in cell ``cells[i]`` at record ``r``.  Each access
+        allocates a new table of ``records × n_cells`` floats, zero outside
+        the spans, so the library itself never reads it."""
+        columns = np.arange(self.cells.size)
+        p_cell = np.zeros((self.records.size, columns.size))
+        inside = (columns >= self.cell_span[:, :1]) & (columns <= self.cell_span[:, 1:])
+        p_cell[inside] = self.p_span
+        return p_cell
 
 
 def auto_half_length(n_record: int) -> int:
@@ -181,8 +195,10 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     a state with no nonzero amplitude or a NaN or infinite one, and
     :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
     either end cell, since then the mirror terminations are no longer
-    unobservable.  Holds ``p_cell`` (exactly zero outside each record's
-    ``cell_span``), two state-sized buffers and one row buffer for the moments.
+    unobservable.  Holds each record's span of cell probabilities (its
+    ``cell_span``, outside which every cell is exactly zero), two state-sized
+    buffers and one row buffer for the moments, so its memory scales with
+    ``dim + records × span``, not with ``records × n_cells``.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
@@ -207,6 +223,13 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     last = graph.spec.n_diamonds - 1
     occupied = graph.slot_cell[nonzero]
     lo, hi = 2 * int(occupied.min()), 2 * int(occupied.max()) + 1
+    n_rows = n_record + 1
+
+    def window_at(r: int) -> tuple[int, int]:
+        return max(lo - r, 0), min(hi + r, last)
+
+    cell_span = np.array([_window_cells(graph, window_at(r)) for r in range(n_rows)], dtype=int)
+    p_span = np.empty(int((cell_span[:, 1] - cell_span[:, 0] + 1).sum()))
     state = WalkState(amplitudes=state.amplitudes.copy())
     spare = np.zeros_like(state.amplitudes)
 
@@ -214,21 +237,23 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     cells = np.arange(-half, half + 1)
     m = cells.astype(float)
     m2 = m**2
-    n_rows = n_record + 1
-    p_cell = np.empty((n_rows, m.size))
-    cell_span = np.empty((n_rows, 2), dtype=int)
     # per record, through one row buffer: the total and the sums of p m and
     # p m^2, each over the full row (a sum over the window changes the bits)
     sums, buf = np.empty((3, n_rows)), np.empty_like(m)
+    p_boundary = np.empty(n_rows)
+    start = 0  # of the record's span in p_span
     for r in range(n_rows):
+        window = window_at(r)
         if r > 0:
-            lo, hi = max(lo - 1, 0), min(hi + 1, last)
             for _ in range(substeps_per_record):
-                state, spare = step(state, graph, window=(lo, hi), out=spare), state.amplitudes
-        p_cell[r] = row = cell_probabilities(graph, state, window=(lo, hi))
-        cell_span[r] = _window_cells(graph, (lo, hi))
+                state, spare = step(state, graph, window=window, out=spare), state.amplitudes
+        row = cell_probabilities(graph, state, window=window)
         sums[:, r] = (row.sum(), np.multiply(row, m, out=buf).sum(),
                       np.multiply(row, m2, out=buf).sum())
+        p_boundary[r] = row[half - 1 : half + 2].sum()
+        span = row[cell_span[r, 0] : cell_span[r, 1] + 1]
+        p_span[start : start + span.size] = span
+        start += span.size
         if row[0] + row[-1] > _END_LEAK_TOL:
             raise LightConeOverflow(
                 f"end-cell probability {row[0] + row[-1]:.3e} at record {r}; "
@@ -239,13 +264,12 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     mean = first / total
     var = second / total - mean**2
     sigma = np.sqrt(np.maximum(var, 0.0))
-    p_boundary = p_cell[:, half - 1 : half + 2].sum(axis=1)
 
     return WalkObservables(
         cells=cells,
         records=np.arange(n_rows),
         substeps_per_record=substeps_per_record,
-        p_cell=p_cell,
+        p_span=p_span,
         cell_span=cell_span,
         mean=mean,
         sigma=sigma,

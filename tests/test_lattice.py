@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ def test_audit_clean_on_m5():
     report = audit_graph(small_graph(half_length=5))
     assert report.ok
     assert report.violations == ()
+
+
+def test_audit_peak_memory_holds_one_check_at_a_time():
+    # numpy reports its buffers to tracemalloc.  The locality check holds three
+    # slot-sized int64 tables and the per-port temporaries (5.4 of them here);
+    # with the bijection check's three slot-sized tables still alive, 8.4
+    g = small_graph(half_length=1500, profile=PhaseProfile.two_region(*FIG5_PAIRS, 1500))
+    tracemalloc.start()
+    try:
+        report = audit_graph(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 6 * np.dtype(np.int64).itemsize * g.dim
 
 
 def test_audit_flags_deleted_adjacency():

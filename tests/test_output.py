@@ -1,7 +1,8 @@
 """CLI output bytes: the chunked table CSV and the streamed walk CSV against
 their per-cell reference, the walk CSV's memory while it is written, a pinned
-walk whose light-cone window never reaches the chain ends, and a fig5 walk
-whose values agree across BLAS kernels and SIMD levels."""
+walk whose light-cone window never reaches the chain ends, the pinned walk and
+fig5 bytes written without the dense ``p_cell`` table, and a fig5 walk whose
+values agree across BLAS kernels and SIMD levels."""
 
 import hashlib
 import json
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_oracle import per_cell_csv
+from test_golden import GOLDEN, README_WALK_CONFIG, WALK_CSV, WALK_SUMMARY
 import diamondwalk
 from diamondwalk import LatticeSpec, PhaseProfile, build_lattice
 from diamondwalk import walk as walk_mod
@@ -186,6 +188,23 @@ def test_walk_inside_its_chain_bytes_are_pinned(tmp_path, monkeypatch):
     assert 0 < min(lo for lo, _ in windows) and max(hi for _, hi in windows) < n_diamonds - 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INNER_WALK_CSV
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == INNER_WALK_SUMMARY
+
+
+def test_walk_and_fig5_bytes_never_build_the_dense_p_cell(tmp_path, monkeypatch):
+    def refuse(obs):
+        raise RuntimeError("the dense p_cell table was built")
+
+    monkeypatch.setattr(walk_mod.WalkObservables, "p_cell", property(refuse))
+    config = tmp_path / "walk.json"
+    config.write_text(json.dumps(README_WALK_CONFIG), encoding="utf-8")
+    out, summary = tmp_path / "walk.csv", tmp_path / "walk_summary.json"
+    assert main(["walk", "--config", str(config), "--out", str(out),
+                 "--summary", str(summary)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WALK_CSV
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == WALK_SUMMARY
+    assert main(["repro", "fig5", "--out", str(tmp_path / "fig5")]) == 0
+    for name, digest in GOLDEN["fig5"].items():
+        assert hashlib.sha256((tmp_path / "fig5" / name).read_bytes()).hexdigest() == digest
 
 
 # each setting rounds the walk differently; measured here, each moves 690-750 of

@@ -484,6 +484,31 @@ def test_evolve_peak_memory_is_p_cell_two_states_and_one_row():
     assert peak < obs.p_cell.nbytes + 2 * state.amplitudes.nbytes + 2**18
 
 
+def test_evolve_peak_memory_is_two_states_and_the_spans():
+    # each record keeps only its light-cone span, so the 201 x 3,001 table
+    # (4.8 MB) would take the peak far past the bound
+    g = boundary_graph(1500)
+    state = initial_state(g, 0, "a", "right")
+    tracemalloc.start()
+    try:
+        obs = evolve(state, g, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.amplitudes.nbytes + obs.p_span.nbytes + 2**18
+
+
+def test_evolve_sigma_is_zero_where_the_variance_rounds_below_zero():
+    # all the probability sits in one cell, m = 5, so the variance is 0; with
+    # the norm 0.81 it rounds to -7.1e-15, which sigma clamps to 0, not to
+    # sqrt(|var|) ~ 8e-8
+    g = graph_for(10)
+    state = initial_state(g, 5, "a", "right")
+    obs = evolve(WalkState(amplitudes=0.9 * state.amplitudes), g, 0)
+    assert obs.mean[0] == pytest.approx(5.0, abs=1e-14)
+    assert obs.sigma[0] == 0.0
+
+
 def test_evolve_record_zero_only():
     g = graph_for(3)
     obs = evolve(initial_state(g, 0, "a", "right"), g, 0)
