@@ -84,11 +84,12 @@ class WindingResult:
 
 @dataclass(frozen=True)
 class PhaseDiagram:
+    """Gap and winding over a phase grid; ``nu = NaN`` marks a closed gap."""
+
     phi_a: np.ndarray
     phi_b: np.ndarray
     gap: np.ndarray  # (len(phi_a), len(phi_b))
-    nu: np.ndarray  # float array, NaN where the winding is undefined
-    flag: np.ndarray  # '' or 'gap_closed'
+    nu: np.ndarray  # float array, NaN where the gap is closed: the sweep CSV's gap_closed
 
 
 def dispersion(ta, tb, k):
@@ -314,7 +315,7 @@ def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult
     """Winding number of the chain with phase shifts (phi_a, phi_b).
 
     Raises :class:`GapClosed` where the refined gap of :func:`band_structure`
-    at the same ``n_k`` is below 2e-6, the rule :func:`phase_diagram` flags by.
+    at the same ``n_k`` is below 2e-6, where :func:`phase_diagram` gives ``nu = NaN``.
     """
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
@@ -351,11 +352,11 @@ def _scan_blocks(table: np.ndarray, row_a: np.ndarray, row_b: np.ndarray, k: np.
 
 
 def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
-    """Gap and winding over a (phi_a, phi_b) grid; closed-gap points are flagged.
+    """Gap and winding over a (phi_a, phi_b) grid; closed-gap points get ``nu = NaN``.
 
     Each point gets the gap of :func:`band_structure` and the winding of
-    :func:`winding_number` at the same ``n_k``, bit for bit, and is flagged
-    by the same rule: closed where its refined gap is below 2e-6.
+    :func:`winding_number` at the same ``n_k``, bit for bit, and ``nu = NaN``
+    by the same rule: its refined gap is below 2e-6 (``gap_closed`` in the CSV).
     ``|t(phi, k)|`` is tabulated in one call over the distinct phases; the
     splitting and its gap minimum then run over blocks of
     ``_BLOCK_FLOATS // n_k`` pairs, one lockstep Brent search refines the gaps
@@ -379,13 +380,10 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
 
     shape = (phi_a_grid.size, phi_b_grid.size)
     nu = _winding(ends[row_a], ends[row_b], k[cols]).astype(float)
-    closed = _closed(gap)
-    nu[closed] = np.nan
-    flag = np.where(closed, "gap_closed", "").astype(object)
+    nu[_closed(gap)] = np.nan
     return PhaseDiagram(
         phi_a=phi_a_grid,
         phi_b=phi_b_grid,
         gap=gap.reshape(shape),
         nu=nu.reshape(shape),
-        flag=flag.reshape(shape),
     )

@@ -143,10 +143,11 @@ def cmd_sweep(args) -> int:
     diagram = bands_mod.phase_diagram(grid, grid, args.nk)
     n_a, n_b = diagram.gap.shape
     nu = diagram.nu.ravel()
-    nu_text = np.where(np.isnan(nu), "", np.nan_to_num(nu).astype(np.int64).astype(str))
+    closed = np.isnan(nu)
+    nu_text = np.where(closed, "", np.nan_to_num(nu).astype(np.int64).astype(str))
     _emit(_csv("phi_a,phi_b,gap,nu,flag", np.repeat(diagram.phi_a, n_b),
-               np.tile(diagram.phi_b, n_a), diagram.gap.ravel(), nu_text, diagram.flag.ravel()),
-          args.out)
+               np.tile(diagram.phi_b, n_a), diagram.gap.ravel(), nu_text,
+               np.where(closed, "gap_closed", "")), args.out)
     return EXIT_OK
 
 

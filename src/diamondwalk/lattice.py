@@ -187,14 +187,13 @@ class LatticeGraph:
     ``state[n_int:].reshape(n_diamonds + 1, 2, L_ext)`` (external edge,
     direction, position).  Vertices and mirrors read the last slot of an edge
     and write the first slot of the same edge traversed the other way; the
-    walk shifts every other slot by one.  The fields cannot be rebound and
-    every array is read-only, so a graph is safe to share between concurrent
-    evolutions.
+    walk shifts every other slot by one.  ``dim``, the slots in a state, is
+    ``slot_cell.size``.  The fields cannot be rebound and every array is
+    read-only, so a graph is safe to share between concurrent evolutions.
     """
 
     spec: LatticeSpec
     vertex_matrix: np.ndarray  # the 3x3 DEFAULT_THETA unitary every vertex shares
-    dim: int  # slots in a state; audit_graph checks it against the spec's layout
     in_slot: np.ndarray  # (2 * n_diamonds, 3) last slot of the edge arriving at each port
     out_slot: np.ndarray  # (2 * n_diamonds, 3) first slot of the edge leaving each port
     port_c_phase: np.ndarray  # (2 * n_diamonds,) exp(i phi_d) port C applies on the bottom edge
@@ -204,6 +203,10 @@ class LatticeGraph:
     # (dim,) cell position (m + M) each slot's probability counts toward: gap
     # amplitudes count toward the diamond they are moving toward
     slot_cell: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.slot_cell.size
 
 
 def _n_internal(spec: LatticeSpec) -> int:
@@ -307,7 +310,6 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     return LatticeGraph(
         spec=spec,
         vertex_matrix=vertex_unitary(DEFAULT_THETA),
-        dim=dim,
         **tables,
     )
 

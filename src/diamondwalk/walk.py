@@ -169,19 +169,16 @@ def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
     ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach.
 
     Only the slots of ``window`` (see :func:`~diamondwalk.lattice._window_slots`)
-    are summed, in their full-state order, so when every other slot is zero
-    the result is bit-identical to the full sum.  Rejects a state built on
-    another graph.
+    are summed, by one ``np.bincount`` in their full-state order, so when every
+    other slot is zero the result is bit-identical to the full sum.  Rejects a
+    state built on another graph.
     """
     _check_state(state, graph)
     _, _, internal, external = _window_slots(graph, window)
     amplitudes, slot_cell = state.amplitudes, graph.slot_cell
-    p = np.bincount(slot_cell[internal], weights=np.abs(amplitudes[internal]) ** 2,
-                    minlength=graph.spec.n_cells)
-    # the external slots follow the internal ones in the full state: add.at adds
-    # them one at a time in that order, as one bincount over both would
-    np.add.at(p, slot_cell[external], np.abs(amplitudes[external]) ** 2)
-    return p
+    cells = np.concatenate((slot_cell[internal], slot_cell[external]))
+    weights = np.abs(np.concatenate((amplitudes[internal], amplitudes[external]))) ** 2
+    return np.bincount(cells, weights=weights, minlength=graph.spec.n_cells)
 
 
 def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservables:

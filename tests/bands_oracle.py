@@ -132,12 +132,11 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     shape = (phi_a_grid.size, phi_b_grid.size)
     gap = np.empty(shape)
     nu = np.full(shape, np.nan)
-    flag = np.full(shape, "", dtype=object)
     for i, pa in enumerate(phi_a_grid):
         for j, pb in enumerate(phi_b_grid):
             gap[i, j] = band_structure(pa, pb, n_k)["gap"]
             try:
                 nu[i, j] = winding_number(pa, pb, n_k)["nu"]
             except GapClosed:
-                flag[i, j] = "gap_closed"
-    return PhaseDiagram(phi_a=phi_a_grid, phi_b=phi_b_grid, gap=gap, nu=nu, flag=flag)
+                pass  # a closed gap keeps nu = NaN
+    return PhaseDiagram(phi_a=phi_a_grid, phi_b=phi_b_grid, gap=gap, nu=nu)

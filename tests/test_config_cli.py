@@ -102,6 +102,11 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert str(info.value).startswith(f"schema error at {path}: ")
 
+    def test_empty_regions_names_the_item_minimum(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(replaced(["regions"], [])))
+        assert str(info.value) == "schema error at regions: expected at least 1 items, got 0"
+
 
 class TestCli:
     def test_scatter_emits_matching_magnitudes(self, tmp_path, capsys):
@@ -311,6 +316,11 @@ class TestCli:
         with pytest.raises(ConfigError, match="unknown reproduction target 'fig6'"):
             cli.run_reproduction("fig6", tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_run_reproduction_accepts_a_str_directory(self, tmp_path):
+        summary = cli.run_reproduction("fig4", str(tmp_path), nk=64)
+        assert len(summary["gaps"]) == 4
+        assert (tmp_path / "fig4_summary.json").exists()
 
     def test_walk_missing_steps_is_config_error(self, tmp_path):
         payload = {k: v for k, v in FIG5_CONFIG.items() if k != "steps"}

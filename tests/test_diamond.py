@@ -80,6 +80,11 @@ def test_closed_form_rejects_nan_anywhere_in_phi():
         transmission_closed_form(np.array([[0.3], [np.inf]]), np.array([0.1, 0.2]))
 
 
+def test_closed_form_rejects_a_non_finite_k():
+    with pytest.raises(ValueError, match="k must be finite"):
+        transmission_closed_form(1.0, np.inf)
+
+
 def test_closed_form_scalar_inputs_return_complex():
     scalars = ((1.2, 0.7), (np.float64(1.2), np.float64(0.7)), (0.0, 0.0), (np.array(1.2), 0.7))
     for phi, k in scalars:
@@ -91,6 +96,12 @@ def test_solver_matches_closed_form_at_benchmark_point():
     t_closed = transmission_closed_form(0.0, np.pi / 3)
     assert abs(abs(s.transmission) - abs(t_closed)) <= 1e-12
     assert abs(abs(s.transmission) - ABS_T_AT_0_PI3) <= 1e-12
+
+
+def test_solver_s_matrix_is_read_only():
+    s = solve_diamond(1.0, 0.3).s_matrix
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = 0.0
 
 
 def test_solver_zero_transmission_at_phi_pi():

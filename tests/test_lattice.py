@@ -127,6 +127,18 @@ def test_rejects_profile_not_covering_chain():
         build_lattice(LatticeSpec(half_length=3, profile=profile))
 
 
+def test_profile_skips_a_region_wholly_outside_the_chain():
+    # listed after the covering region, so writing it clipped would overwrite cells -8..7
+    profile = PhaseProfile(((-8, 8, 1.0, 2.0), (-100, -10, 9.0, 9.0)))
+    phi_a, phi_b = profile.phases(8)
+    assert np.all(phi_a == 1.0) and np.all(phi_b == 2.0)
+
+
+def test_profile_rejects_an_empty_region_list():
+    with pytest.raises(ValueError, match="at least one region"):
+        PhaseProfile(())
+
+
 def test_profile_rejects_overlap_and_empty_range():
     with pytest.raises(ValueError, match="overlap"):
         PhaseProfile(((-2, 0, 0.0, 0.0), (0, 2, 1.0, 1.0)))
@@ -172,6 +184,20 @@ def test_audit_flags_deleted_adjacency():
     report = audit_graph(dataclasses.replace(g, in_slot=broken_in_slot))
     assert not report.ok
     assert "step slot tables point outside the state" in report.violations
+
+
+def test_audit_flags_a_slot_written_twice_first():
+    g = small_graph(half_length=2)
+    out_slot = g.out_slot.copy()
+    out_slot[1] = out_slot[0]
+    report = audit_graph(dataclasses.replace(g, out_slot=out_slot))
+    assert report.violations[0] == "a slot is read or written by more than one vertex port or mirror"
+
+
+def test_audit_flags_a_slot_count_off_the_spec_first():
+    g = small_graph(half_length=3)
+    report = audit_graph(dataclasses.replace(g, slot_cell=g.slot_cell[:-1]))
+    assert report.violations[0] == "141 slots, but the spec's layout has 142"
 
 
 def test_audit_flags_slot_cell_out_of_range():
@@ -240,4 +266,10 @@ def test_diamond_index_bounds():
     with pytest.raises(ValueError):
         spec.diamond_index(3, "a")
     with pytest.raises(ValueError):
+        spec.diamond_index(0, "c")
+
+
+def test_diamond_index_names_the_subsites():
+    spec = LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2))
+    with pytest.raises(ValueError, match=r"one of \('a', 'b'\), got 'c'"):
         spec.diamond_index(0, "c")
