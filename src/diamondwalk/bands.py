@@ -311,18 +311,24 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     return result
 
 
+def _winding_and_bands(phi_a: float, phi_b: float,
+                       n_k: int) -> tuple[WindingResult, BandResult]:
+    """:func:`winding_number` and the :func:`band_structure` it was read from."""
+    if n_k < 64:
+        raise ValueError("n_k must be >= 64")
+    bands = band_structure(phi_a, phi_b, n_k)
+    if _closed(bands.gap):
+        raise GapClosed(f"refined gap {bands.gap:.2e} is closed; winding undefined")
+    return _winding_result(bands.abs_ta, bands.abs_tb, bands.k_grid), bands
+
+
 def winding_number(phi_a: float, phi_b: float, n_k: int = 1024) -> WindingResult:
     """Winding number of the chain with phase shifts (phi_a, phi_b).
 
     Raises :class:`GapClosed` where the refined gap of :func:`band_structure`
     at the same ``n_k`` is below 2e-6, where :func:`phase_diagram` gives ``nu = NaN``.
     """
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
-    bands = band_structure(phi_a, phi_b, n_k)
-    if _closed(bands.gap):
-        raise GapClosed(f"refined gap {bands.gap:.2e} is closed; winding undefined")
-    return _winding_result(bands.abs_ta, bands.abs_tb, bands.k_grid)
+    return _winding_and_bands(phi_a, phi_b, n_k)[0]
 
 
 def _scan_blocks(table: np.ndarray, row_a: np.ndarray, row_b: np.ndarray, k: np.ndarray):

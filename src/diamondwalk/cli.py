@@ -131,9 +131,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    result = bands_mod.winding_number(args.phi_a, args.phi_b, args.nk)
-    gap = bands_mod.band_structure(args.phi_a, args.phi_b, args.nk).gap
-    payload = {"nu": result.nu, "min_radius": result.min_radius, "gap": gap}
+    result, bands = bands_mod._winding_and_bands(args.phi_a, args.phi_b, args.nk)
+    payload = {"nu": result.nu, "min_radius": result.min_radius, "gap": bands.gap}
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 

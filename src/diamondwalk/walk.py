@@ -195,7 +195,10 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     unobservable.  Holds each record's span of cell probabilities (its
     ``cell_span``, outside which every cell is exactly zero), two state-sized
     buffers and one row buffer for the moments, so its memory scales with
-    ``dim + records × span``, not with ``records × n_cells``.
+    ``dim + records × span``, not with ``records × n_cells``.  Both buffers
+    come zeroed from the allocator and only the window's slots are copied into
+    or stepped, so of their pages only those the light cone reaches are
+    faulted in.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
@@ -215,8 +218,9 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # grown window's interior, diamonds lo + 1 .. hi - 1, where each record
     # starts, enters diamond lo one sub-step later and diamond lo - 1 no
     # sooner than a record after that (likewise at hi).
-    # Both buffers stay zero outside the window: a windowed step rewrites
-    # every slot of the window, and the window never shrinks.
+    # So the input is zero outside the first window's slots, and only those
+    # are copied.  Both buffers stay zero outside the window: a windowed step
+    # rewrites every slot of the window, and the window never shrinks.
     last = graph.spec.n_diamonds - 1
     occupied = graph.slot_cell[nonzero]
     lo, hi = 2 * int(occupied.min()), 2 * int(occupied.max()) + 1
@@ -227,8 +231,11 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
 
     cell_span = np.array([_window_cells(graph, window_at(r)) for r in range(n_rows)], dtype=int)
     p_span = np.empty(int((cell_span[:, 1] - cell_span[:, 0] + 1).sum()))
-    state = WalkState(amplitudes=state.amplitudes.copy())
-    spare = np.zeros_like(state.amplitudes)
+    # fresh zeroed pages from calloc, faulted in only where the window writes
+    amplitudes, spare = np.zeros(graph.dim, complex), np.zeros(graph.dim, complex)
+    for slots in _window_slots(graph, window_at(0))[2:]:
+        amplitudes[slots] = state.amplitudes[slots]
+    state = WalkState(amplitudes=amplitudes)
 
     half = graph.spec.half_length
     cells = np.arange(-half, half + 1)

@@ -142,6 +142,19 @@ class TestCli:
         assert payload["nu"] == 1
         assert payload["gap"] > 0
 
+    def test_winding_computes_the_bands_once(self, capsys, monkeypatch):
+        calls = []
+        band_structure = diamondwalk.bands.band_structure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return band_structure(*args, **kwargs)
+
+        monkeypatch.setattr(diamondwalk.bands, "band_structure", counted)
+        assert main(["winding", "--phi-a", "1.5", "--phi-b", "2.5", "--nk", "256"]) == 0
+        assert calls == [(1.5, 2.5, 256)]
+        assert json.loads(capsys.readouterr().out)["gap"] > 0
+
     def test_winding_coarse_grid_is_config_error(self, capsys):
         assert main(["winding", "--phi-a", "1.0", "--phi-b", "2.0", "--nk", "32"]) == 2
         assert "n_k must be >= 64" in capsys.readouterr().err

@@ -10,6 +10,8 @@ from diamondwalk import (
     audit_graph,
     build_lattice,
 )
+from diamondwalk.lattice import _AUDIT_ROWS
+from audit_oracle import step_table_violations
 from step_oracle import directed, external_edge, slots, wiring
 
 FIG5_PAIRS = ((1.5, 2.5), (3 * np.pi / 4, 0.0))
@@ -163,10 +165,13 @@ def test_audit_clean_on_m5():
 
 
 def test_audit_peak_memory_holds_one_check_at_a_time():
-    # numpy reports its buffers to tracemalloc.  The locality check holds three
-    # slot-sized int64 tables and the per-port temporaries (5.4 of them here);
-    # with the bijection check's three slot-sized tables still alive, 8.4
-    g = small_graph(half_length=1500, profile=PhaseProfile.two_region(*FIG5_PAIRS, 1500))
+    # numpy reports its buffers to tracemalloc.  The bijection check holds a
+    # byte per slot for the ends, one for the starts and one for comparing
+    # them; the locality check one block of vertex rows' temporaries, whatever
+    # the chain's length.  So at this length the audit's peak stays below one
+    # int64 per slot
+    half_length = 7000
+    g = small_graph(half_length, profile=PhaseProfile.two_region(*FIG5_PAIRS, half_length))
     tracemalloc.start()
     try:
         report = audit_graph(g)
@@ -174,7 +179,7 @@ def test_audit_peak_memory_holds_one_check_at_a_time():
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 6 * np.dtype(np.int64).itemsize * g.dim
+    assert peak < np.dtype(np.int64).itemsize * g.dim
 
 
 def test_audit_flags_deleted_adjacency():
@@ -259,6 +264,110 @@ def test_audit_flags_a_port_reading_another_edge(internal, external):
     out_slot[[4, 6]] = out_slot[[6, 4]]
     report = audit_graph(dataclasses.replace(g, in_slot=in_slot, out_slot=out_slot))
     assert report.violations == ("a vertex port or mirror writes outside its diamond's window",)
+
+
+# more vertex rows (8 M + 4) than one audit block, and a part-filled tail block
+BLOCKED_HALF_LENGTH = 520
+
+
+def two_region_graph(half_length, internal, external):
+    return build_lattice(LatticeSpec(half_length=half_length,
+                                     profile=PhaseProfile.two_region(*FIG5_PAIRS, half_length),
+                                     internal_length=internal, external_length=external))
+
+
+def corrupt(rng, table, dim):
+    """``table`` with one entry made out of range, a duplicate of another
+    entry, swapped with another entry, or moved by one slot."""
+    table = table.copy()
+    flat = table.reshape(-1)
+    i = rng.integers(flat.size)
+    j = (i + rng.integers(1, flat.size)) % flat.size  # any other entry
+    kind = rng.integers(4)
+    if kind == 0:
+        flat[i] = rng.choice([-1 - rng.integers(3), dim + rng.integers(3)])
+    elif kind == 1:
+        flat[i] = flat[j]
+    elif kind == 2:
+        flat[[i, j]] = flat[[j, i]]
+    else:
+        flat[i] += rng.choice([-1, 1])
+    return table
+
+
+@pytest.mark.parametrize("half_length,internal,external",
+                         [(2, 1, 1), (3, 2, 1), (BLOCKED_HALF_LENGTH, 1, 1),
+                          (BLOCKED_HALF_LENGTH, 2, 1), (BLOCKED_HALF_LENGTH, 3, 2)])
+def test_audit_matches_the_dense_table_oracle_on_corrupted_step_tables(half_length, internal,
+                                                                       external):
+    g = two_region_graph(half_length, internal, external)
+    assert audit_graph(g).violations == step_table_violations(g) == ()
+    rng = np.random.default_rng(half_length * 100 + internal * 10 + external)
+    for _ in range(200):
+        for name in ("in_slot", "out_slot", "mirror_src", "mirror_dst"):
+            broken = dataclasses.replace(g, **{name: corrupt(rng, getattr(g, name), g.dim)})
+            expected = step_table_violations(broken)
+            assert expected, name  # every single-entry corruption is caught
+            assert audit_graph(broken).violations == expected, name
+
+
+def swapped(table, a, b):
+    """``table`` with its entries at indices ``a`` and ``b`` exchanged."""
+    table = table.copy()
+    table[a], table[b] = table[b], table[a]
+    return table
+
+
+@pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
+def test_audit_checks_the_tail_block_and_the_mirrors(internal, external):
+    g = two_region_graph(BLOCKED_HALF_LENGTH, internal, external)
+    rows = g.out_slot.shape[0]
+    assert rows > _AUDIT_ROWS and rows % _AUDIT_ROWS >= 3  # the last 3 rows: the tail block
+    last = g.spec.n_diamonds - 1
+    reads = ("a vertex port or mirror does not read the edge it writes",)
+    window = ("a vertex port or mirror writes outside its diamond's window",)
+    cases = [
+        # the last vertex's ports B and C read each other's edges
+        (reads, dict(in_slot=swapped(g.in_slot, (-1, 1), (-1, 2)))),
+        # each mirror reads the other's stub
+        (reads, dict(mirror_src=g.mirror_src[::-1].copy())),
+        # port A of the last diamond's left vertex trades wiring with port B
+        # of the diamond before's right vertex, which then writes an internal
+        # edge of the diamond before: only the window's upper bound fails
+        (window, dict(in_slot=swapped(g.in_slot, (2 * last, 0), (2 * last - 1, 1)),
+                      out_slot=swapped(g.out_slot, (2 * last, 0), (2 * last - 1, 1)))),
+        # port A of the diamond before's right vertex trades wiring with port
+        # B of the last diamond's left vertex, and so writes an edge of the
+        # last diamond: only the window's lower bound fails
+        (window, dict(in_slot=swapped(g.in_slot, (2 * last - 1, 0), (2 * last, 1)),
+                      out_slot=swapped(g.out_slot, (2 * last - 1, 0), (2 * last, 1)))),
+        # the two mirrors trade wiring: each reads and writes the far stub
+        (window, dict(mirror_src=g.mirror_src[::-1].copy(),
+                      mirror_dst=g.mirror_dst[::-1].copy())),
+    ]
+    for expected, tables in cases:
+        broken = dataclasses.replace(g, **tables)
+        assert step_table_violations(broken) == expected
+        assert audit_graph(broken).violations == expected
+
+
+def test_audit_flags_a_first_slot_never_written_and_a_last_slot_never_read():
+    g = small_graph(half_length=2)
+    message = ("step does not write every slot exactly once",)
+    # vertex 0 writes the left mirror's output in place of slot 0, and the
+    # left mirror writes nothing: every other slot is still written once
+    out_slot = g.out_slot.copy()
+    assert out_slot[0, 1] == 0
+    out_slot[0, 1] = g.mirror_dst[0]
+    broken = dataclasses.replace(g, out_slot=out_slot, mirror_dst=g.mirror_dst[1:])
+    assert step_table_violations(broken) == audit_graph(broken).violations == message
+    # the last vertex reads the right mirror's input in place of the state's
+    # last slot, and the right mirror reads nothing: the last slot is no end
+    in_slot = g.in_slot.copy()
+    assert in_slot[-1, 0] == g.dim - 1
+    in_slot[-1, 0] = g.mirror_src[1]
+    broken = dataclasses.replace(g, in_slot=in_slot, mirror_src=g.mirror_src[:1])
+    assert step_table_violations(broken) == audit_graph(broken).violations == message
 
 
 def test_diamond_index_bounds():
