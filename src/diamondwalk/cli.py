@@ -32,7 +32,7 @@ from .diamond import (
     solve_diamond,
     transmission_closed_form,
 )
-from .lattice import SUBSITES, LatticeSpec, PhaseProfile, audit_graph, build_lattice
+from .lattice import SUBSITES, LatticeSpec, audit_graph, build_lattice
 
 __all__ = ["main", "run_reproduction"]
 
@@ -246,11 +246,8 @@ def run_reproduction(figure: str, out_dir: Path, steps: int = 200, nk: int = 512
 
     if figure == "fig5":
         half = walk_mod.auto_half_length(steps)
-        boundary_spec = LatticeSpec(
-            half_length=half,
-            profile=PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half, boundary=0),
-        )
-        uniform_spec = LatticeSpec(half_length=half, profile=PhaseProfile.uniform(0.0, 0.0, half))
+        boundary_spec = LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT, boundary=0)
+        uniform_spec = LatticeSpec.uniform(half, 0.0, 0.0)
         results = {}
         for name, spec in ("boundary", boundary_spec), ("uniform", uniform_spec):
             graph = build_lattice(spec)

@@ -1,7 +1,8 @@
 """Strict JSON configuration for lattice/walk runs.
 
-:data:`CONFIG_SCHEMA` describes the format (unknown keys rejected); the
-regions must also be disjoint and cover cells [-half_length, half_length].
+:data:`CONFIG_SCHEMA` describes the format (unknown keys rejected).  The regions
+are a :class:`LatticeSpec`'s, as ``LatticeSpec.two_region(half, left, right)`` builds
+them, so they must also be disjoint and cover cells [-half_length, half_length].
 ``edge_lengths`` defaults to :class:`LatticeSpec`'s; ``theta``, if present, must be
 -pi/2 (``-1.5707963267948966``, the one vertex phase), and any other value is rejected.
 """
@@ -12,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .lattice import LatticeSpec, PhaseProfile
+from .lattice import LatticeSpec
 from .multiport import DEFAULT_THETA
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "CONFIG_SCHEMA"]
@@ -67,12 +68,8 @@ class RunConfig:
     steps: int | None = None
 
     def lattice_spec(self) -> LatticeSpec:
-        return LatticeSpec(
-            half_length=self.half_length,
-            profile=PhaseProfile(self.regions),
-            internal_length=self.internal_length,
-            external_length=self.external_length,
-        )
+        return LatticeSpec(self.half_length, self.regions, self.internal_length,
+                           self.external_length)
 
 
 def _first_violation(value, schema: dict, path: str = "") -> tuple[str, str] | None:
@@ -135,19 +132,21 @@ def parse_config(document: str) -> RunConfig:
         raise ConfigError(f"schema error at {path or '<document root>'}: {message}")
 
     lengths = raw.get("edge_lengths", {})
-    half_length = int(raw["half_length"])
     try:
-        profile = PhaseProfile(tuple(
-            (r["from"], r["to"], r["phi_a"], r["phi_b"]) for r in raw["regions"]
-        ))
-        profile.phases(half_length)  # disjoint + coverage of [-M, M]
+        # the schema has checked the lengths, so only the regions can fail here
+        spec = LatticeSpec(
+            half_length=int(raw["half_length"]),
+            regions=tuple((r["from"], r["to"], r["phi_a"], r["phi_b"]) for r in raw["regions"]),
+            internal_length=int(lengths.get("internal", LatticeSpec.internal_length)),
+            external_length=int(lengths.get("external", LatticeSpec.external_length)),
+        )
     except ValueError as exc:
         raise ConfigError(f"schema error at regions: {exc}") from None
 
     return RunConfig(
-        half_length=half_length,
-        regions=profile.regions,  # (int, int, float, float) each
-        internal_length=int(lengths.get("internal", LatticeSpec.internal_length)),
-        external_length=int(lengths.get("external", LatticeSpec.external_length)),
+        half_length=spec.half_length,
+        regions=spec.regions,  # (int, int, float, float) each
+        internal_length=spec.internal_length,
+        external_length=spec.external_length,
         steps=int(raw["steps"]) if "steps" in raw else None,
     )

@@ -10,6 +10,11 @@ dangling external edges at the chain ends are terminated by perfect mirrors
 (reflection phase -1), which keeps the induced evolution unitary without
 enlarging the state space.
 
+One frozen :class:`LatticeSpec` describes the chain, e.g.
+``LatticeSpec.two_region(half, left, right)`` for two phase regions that meet
+at a boundary state; it refuses regions that leave a cell uncovered when it is
+built, before any table is allocated.
+
 Indexing is fully deterministic:
 
 * diamonds: ``d = 2*(m + M) + s`` with subsite ``s`` = 0 for a, 1 for b;
@@ -52,7 +57,6 @@ from .multiport import DEFAULT_THETA, vertex_unitary
 
 __all__ = [
     "SUBSITES",
-    "PhaseProfile",
     "LatticeSpec",
     "LatticeGraph",
     "AuditReport",
@@ -64,17 +68,25 @@ SUBSITES = ("a", "b")
 
 
 @dataclass(frozen=True)
-class PhaseProfile:
-    """Piecewise-constant map from cell index to the pair (phi_a, phi_b).
+class LatticeSpec:
+    """The chain: half length M (cells -M..M), phase regions and edge lengths in
+    sub-steps (internal from the calibrated convention); every vertex is theta = -pi/2.
 
-    ``regions`` is a sequence of ``(m_from, m_to, phi_a, phi_b)`` with
-    inclusive cell ranges.  Regions must be disjoint; together they must cover
-    every cell of the lattice they are applied to.
+    ``regions`` is a sequence of ``(m_from, m_to, phi_a, phi_b)`` with inclusive
+    cell ranges.  They must be disjoint and together cover cells -M..M, which is
+    checked when the spec is built; one may reach past a chain end.
     """
 
+    half_length: int
     regions: tuple[tuple[int, int, float, float], ...]
+    internal_length: int = DEFAULT_CONVENTION.internal_length
+    external_length: int = 1
 
     def __post_init__(self) -> None:
+        if self.half_length < 1:
+            raise ValueError("half_length must be >= 1")
+        if self.internal_length < 1 or self.external_length < 1:
+            raise ValueError("edge lengths must be >= 1")
         if not self.regions:
             raise ValueError("profile needs at least one region")
         norm = tuple(
@@ -92,62 +104,25 @@ class PhaseProfile:
                 raise ValueError(
                     f"regions [{prev[0]}, {prev[1]}] and [{cur[0]}, {cur[1]}] overlap"
                 )
-
-    @classmethod
-    def uniform(cls, phi_a: float, phi_b: float, half_length: int) -> "PhaseProfile":
-        return cls(((-half_length, half_length, phi_a, phi_b),))
-
-    @classmethod
-    def two_region(
-        cls,
-        left: tuple[float, float],
-        right: tuple[float, float],
-        half_length: int,
-        boundary: int = 0,
-    ) -> "PhaseProfile":
-        """Left region covers cells <= boundary, right region the rest."""
-        return cls(
-            (
-                (-half_length, boundary, left[0], left[1]),
-                (boundary + 1, half_length, right[0], right[1]),
-            )
-        )
-
-    def phases(self, half_length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell (phi_a, phi_b) arrays for cells -M..M; rejects gaps."""
-        n = 2 * half_length + 1
-        phi_a = np.full(n, np.nan)
-        phi_b = np.full(n, np.nan)
-        for lo, hi, pa, pb in self.regions:
-            lo_i = max(lo, -half_length) + half_length
-            hi_i = min(hi, half_length) + half_length
-            if lo_i > hi_i:
-                continue
-            phi_a[lo_i : hi_i + 1] = pa
-            phi_b[lo_i : hi_i + 1] = pb
-        if np.any(np.isnan(phi_a)):
-            missing = int(np.flatnonzero(np.isnan(phi_a))[0]) - half_length
+        m = -self.half_length  # the first cell that no sorted region covers yet
+        for lo, hi, _, _ in ordered:
+            if lo <= m and hi >= m:
+                m = hi + 1
+        if m <= self.half_length:
             raise ValueError(
-                f"profile does not cover cell {missing} of [-{half_length}, {half_length}]"
+                f"profile does not cover cell {m} of [-{self.half_length}, {self.half_length}]"
             )
-        return phi_a, phi_b
 
+    @classmethod
+    def uniform(cls, half_length: int, phi_a: float, phi_b: float) -> "LatticeSpec":
+        return cls(half_length, ((-half_length, half_length, phi_a, phi_b),))
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Chain geometry: half length M (cells -M..M), phase profile and edge lengths in
-    sub-steps (internal from the calibrated convention); every vertex is theta = -pi/2."""
-
-    half_length: int
-    profile: PhaseProfile
-    internal_length: int = DEFAULT_CONVENTION.internal_length
-    external_length: int = 1
-
-    def __post_init__(self) -> None:
-        if self.half_length < 1:
-            raise ValueError("half_length must be >= 1")
-        if self.internal_length < 1 or self.external_length < 1:
-            raise ValueError("edge lengths must be >= 1")
+    @classmethod
+    def two_region(cls, half_length: int, left: tuple[float, float],
+                   right: tuple[float, float], boundary: int = 0) -> "LatticeSpec":
+        """Left region covers cells <= boundary, right region the rest."""
+        return cls(half_length, ((-half_length, boundary, left[0], left[1]),
+                                 (boundary + 1, half_length, right[0], right[1])))
 
     @property
     def n_cells(self) -> int:
@@ -255,16 +230,19 @@ def _window_cells(graph: LatticeGraph, window: tuple[int, int]) -> tuple[int, in
 
 def _diamond_phases(spec: LatticeSpec) -> np.ndarray:
     """``exp(i phi_d)``, the phase of each diamond's bottom edge, in diamond order."""
-    return np.exp(1j * np.column_stack(spec.profile.phases(spec.half_length)).ravel())
+    half = spec.half_length
+    table = np.empty((spec.n_cells, 2))  # (phi_a, phi_b) per cell; the spec covers each
+    for lo, hi, phi_a, phi_b in spec.regions:  # clipped: one outside the chain writes no row
+        table[max(lo + half, 0):max(hi + half + 1, 0)] = phi_a, phi_b
+    return np.exp(1j * table.ravel())
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     """Materialise the chain described by ``spec``.
 
     Every diamond is wired the same way, so each table is a slice of the slot
-    layout's views of ``np.arange(dim)``, with no per-element loop.  Rejects
-    profiles that do not cover all cells.  Rebuilding from an equal spec yields
-    identical arrays.
+    layout's views of ``np.arange(dim)``, with no per-element loop.  Rebuilding
+    from an equal spec yields identical arrays.
     """
     n_diamonds = spec.n_diamonds
     dim = _n_slots(spec)
@@ -437,8 +415,11 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
     if not violations and graph.out_slot.size == 6 * n_diamonds:
         violations += _locality_violations(graph)
 
-    # port C enters the bottom edge, whose phase is the diamond's exp(i phi_d)
-    if not np.array_equal(graph.port_c_phase, _diamond_phases(spec).repeat(2)):
+    # port C enters the bottom edge, whose phase is the diamond's exp(i phi_d);
+    # diamond d's vertices are 2d and 2d + 1
+    phases = _diamond_phases(spec)
+    if not (np.array_equal(graph.port_c_phase[::2], phases)
+            and np.array_equal(graph.port_c_phase[1::2], phases)):
         violations.append("port_c_phase differs from the phase of each vertex's diamond")
 
     # every slot's probability is attributed to a cell of the chain

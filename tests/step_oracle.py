@@ -52,11 +52,14 @@ def leaving(spec, vertex: int, port: int) -> int:
 
 def edge_phase(spec, edge: int) -> complex:
     """Phase of undirected edge ``edge``: ``exp(i phi)`` of its diamond's
-    subsite on a bottom internal edge, 1 elsewhere."""
+    subsite on a bottom internal edge, 1 elsewhere.  The phase is read off the
+    one region of ``spec.regions`` holding the diamond's cell."""
     if edge >= external_edge(spec, 0) or edge % 2 == 0:
         return 1.0
-    cell, subsite = divmod(edge // 2, 2)
-    return np.exp(1j * spec.profile.phases(spec.half_length)[subsite][cell])
+    position, subsite = divmod(edge // 2, 2)
+    cell = position - spec.half_length
+    (region,) = [r for r in spec.regions if r[0] <= cell <= r[1]]
+    return np.exp(1j * region[2 + subsite])
 
 
 def wiring(spec) -> dict:

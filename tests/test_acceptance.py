@@ -18,7 +18,6 @@ import pytest
 from diamondwalk import (
     DEFAULT_CONVENTION,
     LatticeSpec,
-    PhaseProfile,
     auto_half_length,
     band_structure,
     build_lattice,
@@ -67,13 +66,11 @@ def report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def walk_with_uniform(profile, injection):
-    """200-record walks on ``profile`` and, with the same injection, on the
+def walk_with_uniform(spec, injection):
+    """200-record walks on ``spec`` and, with the same injection, on the
     uniform (0, 0) chain; returns (graph, observables, uniform observables)."""
-    graph = build_lattice(LatticeSpec(half_length=FIG5_HALF, profile=profile))
-    uniform_graph = build_lattice(
-        LatticeSpec(half_length=FIG5_HALF, profile=PhaseProfile.uniform(0.0, 0.0, FIG5_HALF))
-    )
+    graph = build_lattice(spec)
+    uniform_graph = build_lattice(LatticeSpec.uniform(FIG5_HALF, 0.0, 0.0))
     obs = evolve(initial_state(graph, *injection), graph, 200)
     uniform_obs = evolve(initial_state(uniform_graph, *injection), uniform_graph, 200)
     return graph, obs, uniform_obs
@@ -92,10 +89,10 @@ def persistence(obs, uniform_obs) -> tuple[float, float, float]:
 def fig5_runs():
     """The two 200-record walks shared by criteria 6, 7 and 8 (plus their cost)."""
     start = time.perf_counter()
-    profile = PhaseProfile.two_region(
-        package_pair(FIG5_LEFT), package_pair(FIG5_RIGHT), FIG5_HALF, boundary=0
+    spec = LatticeSpec.two_region(
+        FIG5_HALF, package_pair(FIG5_LEFT), package_pair(FIG5_RIGHT), boundary=0
     )
-    boundary_graph, boundary_obs, uniform_obs = walk_with_uniform(profile, FIG5_INJECTION)
+    boundary_graph, boundary_obs, uniform_obs = walk_with_uniform(spec, FIG5_INJECTION)
     elapsed = time.perf_counter() - start
     return boundary_graph, boundary_obs, uniform_obs, elapsed
 
@@ -217,10 +214,9 @@ def test_criterion_06_walk_unitarity(fig5_runs):
         drift = max(drift, abs(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0))
     norm_ok = drift <= 1e-10
 
-    profile = PhaseProfile.two_region(
-        package_pair(FIG5_LEFT), package_pair(FIG5_RIGHT), 2, boundary=0
-    )
-    small = build_lattice(LatticeSpec(half_length=2, profile=profile))
+    small = build_lattice(LatticeSpec.two_region(
+        2, package_pair(FIG5_LEFT), package_pair(FIG5_RIGHT), boundary=0
+    ))
     op = assemble_step_operator(small)
     s = initial_state(small, *FIG5_INJECTION)
     vec = s.amplitudes.copy()
@@ -253,12 +249,12 @@ def test_criterion_07_boundary_state_persistence(fig5_runs):
     left, right = package_pair(FIG5_LEFT), package_pair(FIG5_RIGHT)
     negative = {
         f"no wall {pair}": persistence(
-            *walk_with_uniform(PhaseProfile.uniform(*pair, FIG5_HALF), FIG5_INJECTION)[1:]
+            *walk_with_uniform(LatticeSpec.uniform(FIG5_HALF, *pair), FIG5_INJECTION)[1:]
         )
         for pair in (left, right)
     }
     positive = persistence(*walk_with_uniform(
-        PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, FIG5_HALF, boundary=0), (1, "a", "right")
+        LatticeSpec.two_region(FIG5_HALF, FIG5_LEFT, FIG5_RIGHT, boundary=0), (1, "a", "right")
     )[1:])
     negative_ok = all(late < 0.5 * mid for late, mid, _ in negative.values())
     positive_ok = positive[0] >= 0.5 * positive[1] and positive[0] >= 10.0 * positive[2]

@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator
 
 import diamondwalk
 from diamondwalk import (
-    DEFAULT_THETA, AuditReport, ConfigError, PhaseProfile, build_lattice, cli, diamond,
+    DEFAULT_THETA, AuditReport, ConfigError, LatticeSpec, build_lattice, cli, diamond,
     multiport, parse_config,
 )
 from diamondwalk.cli import main
@@ -476,11 +476,11 @@ def test_parse_config_agrees_with_jsonschema_on_mutated_configs():
             assert message.startswith(f"schema error at {path or '<document root>'}: "), doc
             outcomes["schema_error"] += 1
             continue
-        # valid by the schema, so only the region profile may still be refused
+        # valid by the schema, so only the regions may still be refused
         try:
-            PhaseProfile(tuple(
+            LatticeSpec(int(doc["half_length"]), tuple(
                 (r["from"], r["to"], r["phi_a"], r["phi_b"]) for r in doc["regions"]
-            )).phases(int(doc["half_length"]))
+            ))
             expected = None
         except ValueError as exc:
             expected = f"schema error at regions: {exc}"

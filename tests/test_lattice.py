@@ -6,7 +6,6 @@ import pytest
 
 from diamondwalk import (
     LatticeSpec,
-    PhaseProfile,
     audit_graph,
     build_lattice,
 )
@@ -17,10 +16,12 @@ from step_oracle import directed, external_edge, slots, wiring
 FIG5_PAIRS = ((1.5, 2.5), (3 * np.pi / 4, 0.0))
 
 
-def small_graph(half_length=2, profile=None):
-    if profile is None:
-        profile = PhaseProfile.uniform(0.0, 0.0, half_length)
-    return build_lattice(LatticeSpec(half_length=half_length, profile=profile))
+def small_graph(half_length=2):
+    return build_lattice(LatticeSpec.uniform(half_length, 0.0, 0.0))
+
+
+def with_lengths(spec, internal, external):
+    return dataclasses.replace(spec, internal_length=internal, external_length=external)
 
 
 def test_counts_m1():
@@ -51,8 +52,7 @@ def test_counts_m50():
 
 
 def test_profile_maps_to_diamond_phases():
-    profile = PhaseProfile.two_region(FIG5_PAIRS[0], FIG5_PAIRS[1], 2, boundary=0)
-    g = small_graph(half_length=2, profile=profile)
+    g = build_lattice(LatticeSpec.two_region(2, FIG5_PAIRS[0], FIG5_PAIRS[1], boundary=0))
     for m, expected in ((0, FIG5_PAIRS[0]), (1, FIG5_PAIRS[1]), (-2, FIG5_PAIRS[0])):
         for subsite, phi in zip("ab", expected):
             d = g.spec.diamond_index(m, subsite)
@@ -61,7 +61,7 @@ def test_profile_maps_to_diamond_phases():
 
 
 def test_shifted_edge_carries_the_phase():
-    g = small_graph(half_length=1, profile=PhaseProfile.uniform(0.7, 0.7, 1))
+    g = build_lattice(LatticeSpec.uniform(1, 0.7, 0.7))
     d = g.spec.diamond_index(0, "a")
     vertices = [2 * d, 2 * d + 1]
     # ports A and B write the external and top edges, which carry no phase;
@@ -70,9 +70,8 @@ def test_shifted_edge_carries_the_phase():
 
 
 def test_rebuild_is_deterministic():
-    profile = PhaseProfile.two_region((1.5, 2.5), (0.4, 0.0), 3)
-    a = build_lattice(LatticeSpec(half_length=3, profile=profile))
-    b = build_lattice(LatticeSpec(half_length=3, profile=profile))
+    a = build_lattice(LatticeSpec.two_region(3, (1.5, 2.5), (0.4, 0.0)))
+    b = build_lattice(LatticeSpec.two_region(3, (1.5, 2.5), (0.4, 0.0)))
     tables = [f.name for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)]
     assert {"slot_cell", "in_slot", "vertex_matrix"} <= set(tables)
     for name in tables:
@@ -91,8 +90,7 @@ def test_graph_fields_cannot_be_rebound():
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
 def test_slot_cell_counts_gap_amplitude_toward_the_diamond_ahead(internal, external):
-    spec = LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
-                       internal_length=internal, external_length=external)
+    spec = with_lengths(LatticeSpec.uniform(2, 0.0, 0.0), internal, external)
     g = build_lattice(spec)
     expected = np.empty(g.dim, dtype=int)
     for d in range(g.spec.n_diamonds):
@@ -108,9 +106,7 @@ def test_slot_cell_counts_gap_amplitude_toward_the_diamond_ahead(internal, exter
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
 def test_step_tables_equal_the_wiring_restated_from_the_spec(internal, external):
-    profile = PhaseProfile.two_region(FIG5_PAIRS[0], FIG5_PAIRS[1], 2, boundary=0)
-    spec = LatticeSpec(half_length=2, profile=profile,
-                       internal_length=internal, external_length=external)
+    spec = with_lengths(LatticeSpec.two_region(2, *FIG5_PAIRS, boundary=0), internal, external)
     g = build_lattice(spec)
     tables = wiring(spec)
     out_phase = tables.pop("out_phase")
@@ -124,38 +120,86 @@ def test_step_tables_equal_the_wiring_restated_from_the_spec(internal, external)
 
 
 def test_rejects_profile_not_covering_chain():
-    profile = PhaseProfile(((-1, 1, 0.0, 0.0),))
     with pytest.raises(ValueError, match="does not cover"):
-        build_lattice(LatticeSpec(half_length=3, profile=profile))
+        LatticeSpec(half_length=3, regions=((-1, 1, 0.0, 0.0),))
+
+
+@pytest.mark.parametrize("regions,missing", [
+    (((-2, 3, 0.0, 0.0),), -3),  # the left end cell
+    (((-3, -1, 0.0, 0.0), (1, 3, 1.0, 1.0)), 0),  # a cell between two regions
+    (((-3, 0, 0.0, 0.0), (1, 2, 1.0, 1.0)), 3),  # the right end cell
+    (((1, 3, 1.0, 1.0), (-3, -1, 0.0, 0.0), (-9, -5, 2.0, 2.0)), 0),  # listed out of order
+])
+def test_spec_names_the_first_uncovered_cell(regions, missing):
+    with pytest.raises(ValueError) as exc:
+        LatticeSpec(half_length=3, regions=regions)
+    assert str(exc.value) == f"profile does not cover cell {missing} of [-3, 3]"
+
+
+def test_spec_accepts_one_cell_regions_and_regions_past_the_ends():
+    # each region ends on the cell the next one starts after; the outer two
+    # reach past the chain's ends
+    spec = LatticeSpec(3, ((-9, -2, 0.1, 0.2), (-1, -1, 0.3, 0.4), (0, 0, 0.5, 0.6),
+                           (1, 9, 0.7, 0.8)))
+    g = build_lattice(spec)
+    for m, phases in ((-3, (0.1, 0.2)), (-2, (0.1, 0.2)), (-1, (0.3, 0.4)), (0, (0.5, 0.6)),
+                      (1, (0.7, 0.8)), (3, (0.7, 0.8))):
+        for subsite, phi in zip("ab", phases):
+            d = spec.diamond_index(m, subsite)
+            assert g.port_c_phase[2 * d] == pytest.approx(np.exp(1j * phi))
+
+
+def test_spec_refuses_an_uncovered_chain_before_allocating_it():
+    # numpy reports its buffers to tracemalloc: a check with a per-cell array
+    # would peak at 16 bytes per cell and more, 224 KB here
+    regions = ((-7000, -1, 0.0, 0.0), (1, 7000, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not cover cell 0 of"):
+            LatticeSpec(half_length=7000, regions=regions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_profile_skips_a_region_wholly_outside_the_chain():
-    # listed after the covering region, so writing it clipped would overwrite cells -8..7
-    profile = PhaseProfile(((-8, 8, 1.0, 2.0), (-100, -10, 9.0, 9.0)))
-    phi_a, phi_b = profile.phases(8)
-    assert np.all(phi_a == 1.0) and np.all(phi_b == 2.0)
+    # listed after the covering regions, so writing it clipped would overwrite cells
+    for outside in ((-100, -10, 9.0, 9.0), (10, 100, 9.0, 9.0)):
+        g = build_lattice(LatticeSpec(8, ((-8, 0, 1.0, 2.0), (1, 8, 1.0, 2.0), outside)))
+        assert g.port_c_phase[0::4] == pytest.approx(np.exp(1j)), outside  # a, left vertex
+        assert g.port_c_phase[2::4] == pytest.approx(np.exp(2j)), outside  # b, left vertex
+
+
+def test_spec_normalises_its_regions():
+    spec = LatticeSpec(1, [(-1.0, 1, 0, 1)])
+    assert spec.regions == ((-1, 1, 0.0, 1.0),)
+    assert [type(v) for v in spec.regions[0]] == [int, int, float, float]
+    assert spec == LatticeSpec.uniform(1, 0.0, 1.0)
 
 
 def test_profile_rejects_an_empty_region_list():
     with pytest.raises(ValueError, match="at least one region"):
-        PhaseProfile(())
+        LatticeSpec(2, ())
 
 
 def test_profile_rejects_overlap_and_empty_range():
     with pytest.raises(ValueError, match="overlap"):
-        PhaseProfile(((-2, 0, 0.0, 0.0), (0, 2, 1.0, 1.0)))
+        LatticeSpec(2, ((-2, 0, 0.0, 0.0), (0, 2, 1.0, 1.0)))
     with pytest.raises(ValueError, match="empty"):
-        PhaseProfile(((2, 1, 0.0, 0.0),))
+        LatticeSpec(2, ((2, 1, 0.0, 0.0),))
     with pytest.raises(ValueError, match="finite"):
-        PhaseProfile(((0, 1, np.nan, 0.0),))
+        LatticeSpec(2, ((0, 1, np.nan, 0.0),))
 
 
 def test_spec_validation():
-    profile = PhaseProfile.uniform(0.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        LatticeSpec(half_length=0, profile=profile)
-    with pytest.raises(ValueError):
-        LatticeSpec(half_length=1, profile=profile, external_length=0)
+    spec = LatticeSpec.uniform(1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="half_length must be >= 1"):
+        LatticeSpec.uniform(0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="edge lengths must be >= 1"):
+        dataclasses.replace(spec, external_length=0)
+    with pytest.raises(ValueError, match="does not cover cell -2"):
+        dataclasses.replace(spec, half_length=2)
 
 
 def test_audit_clean_on_m5():
@@ -171,7 +215,7 @@ def test_audit_peak_memory_holds_one_check_at_a_time():
     # the chain's length.  So at this length the audit's peak stays below one
     # int64 per slot
     half_length = 7000
-    g = small_graph(half_length, profile=PhaseProfile.two_region(*FIG5_PAIRS, half_length))
+    g = build_lattice(LatticeSpec.two_region(half_length, *FIG5_PAIRS))
     tracemalloc.start()
     try:
         report = audit_graph(g)
@@ -217,8 +261,7 @@ def test_audit_flags_slot_cell_out_of_range():
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
 def test_audit_flags_corrupted_step_tables(internal, external):
-    g = build_lattice(LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
-                                  internal_length=internal, external_length=external))
+    g = build_lattice(with_lengths(LatticeSpec.uniform(2, 0.0, 0.0), internal, external))
     in_slot, out_slot, mirror_dst = g.in_slot.copy(), g.out_slot.copy(), g.mirror_dst.copy()
     in_slot[5, 1] = in_slot[3, 2]  # one edge end read twice, another never
     out_slot[4, 0] += 1  # a vertex writes one slot past an edge start
@@ -233,9 +276,8 @@ def test_audit_flags_corrupted_step_tables(internal, external):
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
 def test_audit_flags_a_wrong_output_phase(internal, external):
-    profile = PhaseProfile.two_region(FIG5_PAIRS[0], FIG5_PAIRS[1], 2, boundary=0)
-    g = build_lattice(LatticeSpec(half_length=2, profile=profile,
-                                  internal_length=internal, external_length=external))
+    g = build_lattice(with_lengths(LatticeSpec.two_region(2, *FIG5_PAIRS, boundary=0),
+                                   internal, external))
     message = ("port_c_phase differs from the phase of each vertex's diamond",)
     port_c_phase = g.port_c_phase.copy()
     port_c_phase[8] = 2.0  # not the phase of vertex 8's bottom edge, nor unimodular
@@ -244,12 +286,15 @@ def test_audit_flags_a_wrong_output_phase(internal, external):
     port_c_phase[3] = g.port_c_phase[4]  # unimodular, but the next diamond's phase
     assert port_c_phase[3] != g.port_c_phase[3]
     assert audit_graph(dataclasses.replace(g, port_c_phase=port_c_phase)).violations == message
+    # one phase too few or too many, and every entry there is still right
+    for port_c_phase in (g.port_c_phase[:-1], np.append(g.port_c_phase, g.port_c_phase[-1]),
+                         np.append(g.port_c_phase, g.port_c_phase[-2:])):
+        assert audit_graph(dataclasses.replace(g, port_c_phase=port_c_phase)).violations == message
 
 
 @pytest.mark.parametrize("internal,external", [(1, 1), (2, 1), (3, 2)])
 def test_audit_flags_a_port_reading_another_edge(internal, external):
-    g = build_lattice(LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2),
-                                  internal_length=internal, external_length=external))
+    g = build_lattice(with_lengths(LatticeSpec.uniform(2, 0.0, 0.0), internal, external))
     # still a bijection of slots, but vertices 4 and 6 read each other's edges
     in_slot = g.in_slot.copy()
     in_slot[[4, 6]] = in_slot[[6, 4]]
@@ -271,9 +316,8 @@ BLOCKED_HALF_LENGTH = 520
 
 
 def two_region_graph(half_length, internal, external):
-    return build_lattice(LatticeSpec(half_length=half_length,
-                                     profile=PhaseProfile.two_region(*FIG5_PAIRS, half_length),
-                                     internal_length=internal, external_length=external))
+    return build_lattice(with_lengths(LatticeSpec.two_region(half_length, *FIG5_PAIRS),
+                                      internal, external))
 
 
 def corrupt(rng, table, dim):
@@ -371,7 +415,7 @@ def test_audit_flags_a_first_slot_never_written_and_a_last_slot_never_read():
 
 
 def test_diamond_index_bounds():
-    spec = LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2))
+    spec = LatticeSpec.uniform(2, 0.0, 0.0)
     with pytest.raises(ValueError):
         spec.diamond_index(3, "a")
     with pytest.raises(ValueError):
@@ -379,6 +423,6 @@ def test_diamond_index_bounds():
 
 
 def test_diamond_index_names_the_subsites():
-    spec = LatticeSpec(half_length=2, profile=PhaseProfile.uniform(0.0, 0.0, 2))
+    spec = LatticeSpec.uniform(2, 0.0, 0.0)
     with pytest.raises(ValueError, match=r"one of \('a', 'b'\), got 'c'"):
         spec.diamond_index(0, "c")

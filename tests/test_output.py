@@ -4,6 +4,7 @@ walk whose light-cone window never reaches the chain ends, the pinned walk and
 fig5 bytes written without the dense ``p_cell`` table, and a fig5 walk whose
 values agree across BLAS kernels and SIMD levels."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from csv_oracle import per_cell_csv
 from test_golden import GOLDEN, README_WALK_CONFIG, WALK_CSV, WALK_SUMMARY
 import diamondwalk
-from diamondwalk import LatticeSpec, PhaseProfile, build_lattice
+from diamondwalk import LatticeSpec, build_lattice
 from diamondwalk import walk as walk_mod
 from diamondwalk.cli import (
     _CSV_CHUNK_ROWS, FIG5_LEFT, FIG5_RIGHT, _csv, _emit, _walk_csv, main,
@@ -78,9 +79,9 @@ def test_csv_rejects_columns_of_different_lengths(tmp_path):
 def walk(half_length, cell, subsite, direction, n_record, *, regions=(FIG5_LEFT, FIG5_RIGHT),
          boundary=0, internal=2, external=1):
     """Observables of a two-region walk, cut one record before a light-cone overflow."""
-    profile = PhaseProfile.two_region(*regions, half_length, boundary=boundary)
-    graph = build_lattice(LatticeSpec(half_length=half_length, profile=profile,
-                                      internal_length=internal, external_length=external))
+    spec = LatticeSpec.two_region(half_length, *regions, boundary=boundary)
+    graph = build_lattice(dataclasses.replace(spec, internal_length=internal,
+                                              external_length=external))
     state = walk_mod.initial_state(graph, cell, subsite, direction)
     try:
         return walk_mod.evolve(state, graph, n_record)

@@ -60,3 +60,13 @@ def test_every_private_module_name_is_loaded_in_the_package():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private, "no private names found"
     assert private <= loaded, sorted(private - loaded)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["1", "1.6"]
+    assert 0.0 < float(lines[2]) <= 1.0  # the probability near m = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -7,7 +8,6 @@ import pytest
 from diamondwalk import (
     LatticeSpec,
     LightConeOverflow,
-    PhaseProfile,
     auto_half_length,
     build_lattice,
     evolve,
@@ -25,16 +25,17 @@ FIG5_RIGHT = (3 * np.pi / 4, 0.0)
 EDGE_LENGTHS = [(1, 1), (2, 1), (3, 2)]
 
 
-def graph_for(half_length, profile=None, internal=2, external=1):
-    if profile is None:
-        profile = PhaseProfile.uniform(0.0, 0.0, half_length)
-    return build_lattice(LatticeSpec(half_length=half_length, profile=profile,
-                                     internal_length=internal, external_length=external))
+def graph_for(spec, internal=2, external=1):
+    """The chain of ``spec``, or of uniform phases 0 if ``spec`` is a half
+    length, with the given edge lengths."""
+    if not isinstance(spec, LatticeSpec):
+        spec = LatticeSpec.uniform(spec, 0.0, 0.0)
+    return build_lattice(dataclasses.replace(spec, internal_length=internal,
+                                             external_length=external))
 
 
 def boundary_graph(half_length):
-    profile = PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half_length, boundary=0)
-    return graph_for(half_length, profile)
+    return graph_for(LatticeSpec.two_region(half_length, FIG5_LEFT, FIG5_RIGHT, boundary=0))
 
 
 def test_initial_state_probability_and_norm():
@@ -103,8 +104,7 @@ STEP_STARTS = [(i, e, None) for i, e in EDGE_LENGTHS] + [(i, e, 2017) for i, e i
                          ids=[f"{i}-{e}" + ("" if seed is None else "-random")
                               for i, e, seed in STEP_STARTS])
 def test_step_matches_operator_powers_20_steps(internal, external, seed):
-    profile = PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, 2, boundary=0)
-    g = graph_for(2, profile, internal, external)
+    g = graph_for(LatticeSpec.two_region(2, FIG5_LEFT, FIG5_RIGHT, boundary=0), internal, external)
     op = assemble_step_operator(g)
     if seed is None:
         state = initial_state(g, 0, "a", "right")
@@ -223,10 +223,10 @@ def test_windowed_evolve_matches_plain_walk_on_random_chains(internal, external)
     rng = np.random.default_rng(internal * 10 + external)
     for _ in range(4):
         half = int(rng.integers(3, 25))
-        profile = PhaseProfile.two_region(tuple(rng.uniform(0, 2 * np.pi, 2)),
-                                          tuple(rng.uniform(0, 2 * np.pi, 2)), half,
-                                          boundary=int(rng.integers(-half, half)))
-        g = graph_for(half, profile, internal, external)
+        spec = LatticeSpec.two_region(half, tuple(rng.uniform(0, 2 * np.pi, 2)),
+                                      tuple(rng.uniform(0, 2 * np.pi, 2)),
+                                      boundary=int(rng.integers(-half, half)))
+        g = graph_for(spec, internal, external)
         state = initial_state(g, int(rng.integers(1 - half, half)), str(rng.choice(["a", "b"])),
                               str(rng.choice(["left", "right"])))
         assert_evolve_matches_plain(state, g, int(rng.integers(1, 2 * half + 8)))
@@ -236,8 +236,7 @@ def test_windowed_evolve_matches_plain_walk_on_random_chains(internal, external)
 def test_windowed_walk_matches_plain_walk_next_to_the_chain_ends(internal, external):
     # the window reaches a chain end on the first sub-step, so the mirrors run
     half = 12
-    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
-                  internal, external)
+    g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     last = g.spec.n_diamonds - 1
     for cell, direction in ((1 - half, "left"), (half - 1, "right")):
         for subsite in ("a", "b"):
@@ -300,10 +299,10 @@ def test_walk_next_to_the_chain_ends_is_zero_outside_its_cell_span(internal, ext
     rng = np.random.default_rng(100 + internal * 10 + external)
     for _ in range(4):
         half = int(rng.integers(3, 12))
-        profile = PhaseProfile.two_region(tuple(rng.uniform(0, 2 * np.pi, 2)),
-                                          tuple(rng.uniform(0, 2 * np.pi, 2)), half,
-                                          boundary=int(rng.integers(-half, half)))
-        g = graph_for(half, profile, internal, external)
+        spec = LatticeSpec.two_region(half, tuple(rng.uniform(0, 2 * np.pi, 2)),
+                                      tuple(rng.uniform(0, 2 * np.pi, 2)),
+                                      boundary=int(rng.integers(-half, half)))
+        g = graph_for(spec, internal, external)
         for cell, direction in ((1 - half, "left"), (half - 1, "right")):
             state = initial_state(g, cell, str(rng.choice(["a", "b"])), direction)
             n_record = 0
@@ -322,8 +321,7 @@ def test_walk_next_to_the_chain_ends_is_zero_outside_its_cell_span(internal, ext
 @pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
 def test_windowed_step_without_out_matches_plain_step_and_is_zero_outside(internal, external):
     half = 20
-    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
-                  internal, external)
+    g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     last = g.spec.n_diamonds - 1
     d = g.spec.diamond_index(0, "a")
     rng = np.random.default_rng(2017)
@@ -360,8 +358,7 @@ def test_windowed_evolve_matches_plain_walk_from_full_support(internal, external
     # every slot is nonzero, so the window is the whole chain from the start;
     # a Gaussian envelope keeps the end cells under the overflow threshold
     half = 30
-    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
-                  internal, external)
+    g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     rng = np.random.default_rng(2017)
     envelope = np.exp(-0.5 * ((g.slot_cell - half) / 4.0) ** 2)
     amplitudes = (rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)) * envelope
@@ -374,8 +371,7 @@ def test_windowed_evolve_matches_plain_walk_from_full_support(internal, external
 def test_windowed_evolve_starts_from_the_state_support(internal, external):
     # one nonzero slot inside an internal edge, which no initial_state gives
     half = 15
-    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
-                  internal, external)
+    g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     bottom_backward = directed(2 * g.spec.diamond_index(3, "b") + 1, 1)
     amplitudes = np.zeros(g.dim, dtype=complex)
     amplitudes[slots(g.spec, bottom_backward).start + internal // 2] = 1.0
@@ -393,8 +389,7 @@ def test_windowed_evolve_is_exact_from_every_phase_of_a_hop(internal, external):
     # record begins at every phase of a hop, and from full support on a range
     # of cells, which holds the slots farthest out on both sides.
     half = 8
-    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
-                  internal, external)
+    g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     d = g.spec.diamond_index(0, "a")
     for edge in (2 * d, 2 * d + 1, external_edge(g.spec, d), external_edge(g.spec, d + 1)):
         for direction in (0, 1):
@@ -415,8 +410,7 @@ def test_window_grows_one_diamond_on_each_side_per_record(monkeypatch, internal,
     # diamonds 2c - r .. 2c + 1 + r, clipped to the chain; next to an end
     # the walk overflows at record 2, after stepping it on a clipped window
     half = 6
-    g = graph_for(half, PhaseProfile.two_region(FIG5_LEFT, FIG5_RIGHT, half),
-                  internal, external)
+    g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     last, substeps = g.spec.n_diamonds - 1, g.spec.substeps_per_hop
     windows = []
 
@@ -549,13 +543,10 @@ def test_mirror_symmetry_exact():
     original = boundary_graph(half)
     # spatial reflection maps (m, a) <-> (-m, b), so swap subsite phases and
     # mirror the region ranges
-    mirrored_profile = PhaseProfile(
-        (
-            (-half, -1, FIG5_RIGHT[1], FIG5_RIGHT[0]),
-            (0, half, FIG5_LEFT[1], FIG5_LEFT[0]),
-        )
-    )
-    mirrored = graph_for(half, mirrored_profile)
+    mirrored = graph_for(LatticeSpec(half, (
+        (-half, -1, FIG5_RIGHT[1], FIG5_RIGHT[0]),
+        (0, half, FIG5_LEFT[1], FIG5_LEFT[0]),
+    )))
     obs_o = evolve(initial_state(original, 0, "a", "right"), original, 40)
     obs_m = evolve(initial_state(mirrored, 0, "b", "left"), mirrored, 40)
     assert np.abs(obs_m.p_cell - obs_o.p_cell[:, ::-1]).max() <= 1e-12
@@ -566,10 +557,9 @@ def test_wall_at_injection_sustains_boundary_probability():
     # edge the photon is injected into: a large probability fraction stays
     # pinned there, peaked at the interface cell
     half = auto_half_length(120)
-    profile = PhaseProfile(
-        ((-half, -1, FIG5_LEFT[0], FIG5_LEFT[1]), (0, half, FIG5_RIGHT[0], FIG5_RIGHT[1]))
-    )
-    g = graph_for(half, profile)
+    g = graph_for(LatticeSpec(
+        half, ((-half, -1, FIG5_LEFT[0], FIG5_LEFT[1]), (0, half, FIG5_RIGHT[0], FIG5_RIGHT[1]))
+    ))
     obs = evolve(initial_state(g, 0, "a", "right"), g, 120)
     late = obs.p_boundary[90:121].mean()
     mid = obs.p_boundary[30:61].mean()
