@@ -363,8 +363,8 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     Each point gets the gap of :func:`band_structure` and the winding of
     :func:`winding_number` at the same ``n_k``, bit for bit, and ``nu = NaN``
     by the same rule: its refined gap is below 2e-6 (``gap_closed`` in the CSV).
-    ``|t(phi, k)|`` is tabulated in one call over the distinct phases; the
-    splitting and its gap minimum then run over blocks of
+    ``|t(phi, k)|`` is tabulated over the distinct phases, a block of phases
+    per call; the splitting and its gap minimum then run over blocks of
     ``_BLOCK_FLOATS // n_k`` pairs, one lockstep Brent search refines the gaps
     of all pairs, and the winding reads four columns of the table.
     """
@@ -376,7 +376,16 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
     phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
-    table = np.abs(transmission_closed_form(phases[:, None], k))
+    # in blocks of phases whose complex temporaries are each the size of a
+    # workspace array: one block up to 32 phases at n_k 512.  At 64x64 one
+    # call's 512 KiB temporaries left glibc's heap growing for three calls:
+    # the third took 0-1,089 minor faults, as the heap layout that the
+    # checkout's path length sets fell; in blocks, 0-7
+    table = np.empty((phases.size, n_k))
+    rows = max(1, _BLOCK_FLOATS // (2 * n_k))
+    for start in range(0, phases.size, rows):
+        block = slice(start, start + rows)
+        np.abs(transmission_closed_form(phases[block, None], k), out=table[block])
     i, j = np.divmod(np.arange(phi_a_grid.size * phi_b_grid.size), phi_b_grid.size)
     row_a, row_b = which[: phi_a_grid.size][i], which[phi_a_grid.size :][j]
     i_min, coarse = _scan_blocks(table, row_a, row_b, k)

@@ -67,6 +67,21 @@ __all__ = [
 SUBSITES = ("a", "b")
 
 
+def _cell_bound(value, region) -> int:
+    """A region bound as an int: an integer (numpy's too) or an integral float
+    such as ``8.0``; anything else, a bool or a string included, raises
+    :class:`ValueError` naming the region."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"region {tuple(region)!r} has a bound {value!r} that is not an "
+                     "integral number")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """The chain: half length M (cells -M..M), phase regions and edge lengths in
@@ -90,7 +105,8 @@ class LatticeSpec:
         if not self.regions:
             raise ValueError("profile needs at least one region")
         norm = tuple(
-            (int(lo), int(hi), float(pa), float(pb)) for lo, hi, pa, pb in self.regions
+            (_cell_bound(lo, region), _cell_bound(hi, region), float(pa), float(pb))
+            for region in self.regions for lo, hi, pa, pb in [region]
         )
         object.__setattr__(self, "regions", norm)
         for lo, hi, pa, pb in norm:
@@ -218,23 +234,33 @@ def _window_slots(graph: LatticeGraph,
             slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
 
 
-def _window_cells(graph: LatticeGraph, window: tuple[int, int]) -> tuple[int, int]:
+def _window_cells(graph: LatticeGraph, window: tuple) -> tuple:
     """First and last cell position that the slots of ``window`` count toward:
     those of the left-moving slots of external edge ``lo`` and of the
-    right-moving slots of external edge ``hi + 1``, the window's outermost."""
-    _, _, _, external = _window_slots(graph, window)
-    length = graph.spec.external_length
-    return (int(graph.slot_cell[external.start + length]),
-            int(graph.slot_cell[external.stop - 2 * length]))
+    right-moving slots of external edge ``hi + 1``, the window's outermost.
+    ``lo`` and ``hi`` may be equal-shaped integer arrays, one window each,
+    which gives an array of first and one of last cells.  Raises
+    :class:`ValueError` unless every ``0 <= lo <= hi <= n_diamonds - 1``."""
+    lo, hi = np.asarray(window[0]), np.asarray(window[1])
+    last = graph.spec.n_diamonds - 1
+    if not np.all((0 <= lo) & (lo <= hi) & (hi <= last)):
+        raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
+    length, base = graph.spec.external_length, _n_internal(graph.spec)
+    return (graph.slot_cell[base + (2 * lo + 1) * length],
+            graph.slot_cell[base + (2 * hi + 2) * length])
 
 
 def _diamond_phases(spec: LatticeSpec) -> np.ndarray:
     """``exp(i phi_d)``, the phase of each diamond's bottom edge, in diamond order."""
     half = spec.half_length
-    table = np.empty((spec.n_cells, 2))  # (phi_a, phi_b) per cell; the spec covers each
-    for lo, hi, phi_a, phi_b in spec.regions:  # clipped: one outside the chain writes no row
-        table[max(lo + half, 0):max(hi + half + 1, 0)] = phi_a, phi_b
-    return np.exp(1j * table.ravel())
+    # one exp per region and subsite: an element's bits do not depend on the
+    # array it is exponentiated in
+    phases = np.exp(1j * np.array([region[2:] for region in spec.regions]))
+    table = np.empty((spec.n_cells, 2), dtype=complex)  # the spec covers each cell
+    for (lo, hi, _, _), phase in zip(spec.regions, phases):
+        # clipped: a region outside the chain writes no row
+        table[max(lo + half, 0):max(hi + half + 1, 0)] = phase
+    return table.ravel()
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:

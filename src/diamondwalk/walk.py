@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _END_LEAK_TOL = 1e-9
+# numpy's pairwise summation (PW_BLOCKSIZE): a node of at most this many
+# contiguous float64 is a leaf, summed in eight interleaved accumulators
+_PAIRWISE_LEAF = 128
 
 
 class LightConeOverflow(RuntimeError):
@@ -181,6 +184,31 @@ def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
     return np.bincount(cells, weights=weights, minlength=graph.spec.n_cells)
 
 
+def _sum_node(n: int, first: int, last: int) -> tuple[int, int]:
+    """``(start, stop)`` of the smallest node of numpy's pairwise summation tree
+    over ``n`` contiguous float64 that holds positions ``first .. last``.
+
+    ``np.sum`` of such an array starts from +0.0 and adds its pairwise sum: a
+    node of more than ``_PAIRWISE_LEAF`` elements is the sum of its two
+    children, split at the half rounded down to a multiple of 8.  When every
+    element outside ``first .. last`` is +0.0 or -0.0, the other nodes sum to
+    a zero, and ``x + 0.0 == x`` for any nonzero ``x``, so summing this node
+    alone gives the full sum's bits (a zero sum is +0.0 either way).
+    ``tests/test_walk.py::test_sum_node_sums_equal_the_full_row_sums`` checks
+    this against the installed numpy.
+    """
+    start = 0
+    while n > _PAIRWISE_LEAF:
+        split = n // 2 - (n // 2) % 8
+        if last < start + split:
+            n = split
+        elif first >= start + split:
+            start, n = start + split, n - split
+        else:
+            break
+    return start, start + n
+
+
 def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservables:
     """Run the walk for ``n_record`` records and collect observables.
 
@@ -198,12 +226,14 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     ``dim + records × span``, not with ``records × n_cells``.  Both buffers
     come zeroed from the allocator and only the window's slots are copied into
     or stepped, so of their pages only those the light cone reaches are
-    faulted in.
+    faulted in.  Each record's moments are summed over the node of numpy's
+    pairwise summation tree that holds its span (see :func:`_sum_node`), not
+    over the whole row, with the full row's bits.
     """
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
     _check_state(state, graph)
-    nonzero = np.flatnonzero(state.amplitudes)
+    nonzero = np.flatnonzero(state.amplitudes != 0)  # NaN != 0: refused below
     if not nonzero.size:
         raise ValueError("state has no nonzero amplitude")
     if not np.isfinite(state.amplitudes[nonzero]).all():
@@ -229,7 +259,10 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     def window_at(r: int) -> tuple[int, int]:
         return max(lo - r, 0), min(hi + r, last)
 
-    cell_span = np.array([_window_cells(graph, window_at(r)) for r in range(n_rows)], dtype=int)
+    grown = np.arange(n_rows)
+    cell_span = np.stack(_window_cells(graph, (np.maximum(lo - grown, 0),
+                                               np.minimum(hi + grown, last))), axis=1)
+    del grown  # of the record-sized arrays, only the spans outlive the set-up
     p_span = np.empty(int((cell_span[:, 1] - cell_span[:, 0] + 1).sum()))
     # fresh zeroed pages from calloc, faulted in only where the window writes
     amplitudes, spare = np.zeros(graph.dim, complex), np.zeros(graph.dim, complex)
@@ -242,7 +275,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     m = cells.astype(float)
     m2 = m**2
     # per record, through one row buffer: the total and the sums of p m and
-    # p m^2, each over the full row (a sum over the window changes the bits)
+    # p m^2, each over the pairwise-summation node that holds the record's
+    # span, which has the full row's bits (any other slice changes them)
     sums, buf = np.empty((3, n_rows)), np.empty_like(m)
     p_boundary = np.empty(n_rows)
     start = 0  # of the record's span in p_span
@@ -252,10 +286,13 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
             for _ in range(substeps_per_record):
                 state, spare = step(state, graph, window=window, out=spare), state.amplitudes
         row = cell_probabilities(graph, state, window=window)
-        sums[:, r] = (row.sum(), np.multiply(row, m, out=buf).sum(),
-                      np.multiply(row, m2, out=buf).sum())
+        span_lo, span_hi = cell_span[r].tolist()
+        node = slice(*_sum_node(row.size, span_lo, span_hi))
+        p = row[node]
+        sums[:, r] = (p.sum(), np.multiply(p, m[node], out=buf[node]).sum(),
+                      np.multiply(p, m2[node], out=buf[node]).sum())
         p_boundary[r] = row[half - 1 : half + 2].sum()
-        span = row[cell_span[r, 0] : cell_span[r, 1] + 1]
+        span = row[span_lo : span_hi + 1]
         p_span[start : start + span.size] = span
         start += span.size
         if row[0] + row[-1] > _END_LEAK_TOL:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,19 @@ def test_profile_maps_to_diamond_phases():
             d = g.spec.diamond_index(m, subsite)
             # port C of both vertices writes the diamond's bottom edge
             assert g.port_c_phase[[2 * d, 2 * d + 1]] == pytest.approx(np.exp(1j * phi))
+
+
+def test_port_c_phase_has_the_bits_of_each_diamonds_own_exp():
+    # the phases are exponentiated once per region, the same bits as one
+    # exp per diamond
+    rng = np.random.default_rng(30)
+    bounds = np.sort(rng.choice(np.arange(-19, 20), 6, replace=False))
+    regions = [(lo, hi - 1, *rng.uniform(-2 * np.pi, 2 * np.pi, 2))
+               for lo, hi in zip([-20, *bounds], [*bounds, 21])]
+    g = build_lattice(LatticeSpec(20, regions[::-1]))
+    want = [np.exp(1j * phi) for lo, hi, *phis in regions for _ in range(lo, hi + 1)
+            for phi in phis]
+    assert g.port_c_phase.tobytes() == np.repeat(want, 2).tobytes()
 
 
 def test_shifted_edge_carries_the_phase():
@@ -176,6 +190,25 @@ def test_spec_normalises_its_regions():
     assert spec.regions == ((-1, 1, 0.0, 1.0),)
     assert [type(v) for v in spec.regions[0]] == [int, int, float, float]
     assert spec == LatticeSpec.uniform(1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (np.int32(-3), np.int64(3)),
+                                   (np.float64(-3.0), np.uint8(3))])
+def test_spec_accepts_integral_float_and_numpy_integer_bounds(lo, hi):
+    spec = LatticeSpec(3, ((lo, hi, 0.5, 1.5),))
+    assert spec.regions == ((-3, 3, 0.5, 1.5),)
+    assert [type(v) for v in spec.regions[0]] == [int, int, float, float]
+
+
+@pytest.mark.parametrize("lo,hi,bad", [(-3.7, 3.9, -3.7), (-3, 3.5, 3.5), ("-3", 3, "'-3'"),
+                                       (-3, "3", "'3'"), (-3, float("inf"), "inf"),
+                                       (-3, float("nan"), "nan"), (True, 3, "True")])
+def test_spec_refuses_a_bound_that_is_not_an_integral_number(lo, hi, bad):
+    # int() would truncate -3.7 to -3 and read the string '3' as 3
+    region = (lo, hi, 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"region {region!r} has a bound {bad} that is not an integral number")):
+        LatticeSpec(3, (region,))
 
 
 def test_profile_rejects_an_empty_region_list():

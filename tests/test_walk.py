@@ -456,10 +456,104 @@ def test_evolve_rejects_a_zero_or_non_finite_state_before_allocating(value):
 
 
 def test_windowed_evolve_matches_plain_walk_on_a_long_chain():
-    # rows of 6,001 cells, far wider than the window, whose moments are still
-    # summed over the full row
+    # rows of 6,001 cells, far wider than the window, whose moments are
+    # summed over the pairwise-summation node that holds the span
     g = boundary_graph(3000)
     assert_evolve_matches_plain(initial_state(g, 0, "a", "right"), g, 24)
+
+
+def pairwise_nodes(start, n):
+    """Every node ``(start, stop)`` of numpy's pairwise summation tree over
+    ``n`` contiguous float64 from ``start``: a node of more than 128 elements
+    has two children, split at ``n // 2`` rounded down to a multiple of 8."""
+    yield start, start + n
+    if n > 128:
+        split = n // 2 - (n // 2) % 8
+        yield from pairwise_nodes(start, split)
+        yield from pairwise_nodes(start + split, n - split)
+
+
+def assert_node_sums_equal_full_sums(row, m, first, last):
+    node = slice(*walk._sum_node(row.size, first, last))
+    m2 = m**2
+    for got, want in ((row[node].sum(), row.sum()),
+                      ((row[node] * m[node]).sum(), (row * m).sum()),
+                      ((row[node] * m2[node]).sum(), (row * m2).sum())):
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_sum_node_is_the_smallest_tree_node_holding_the_span():
+    rng = np.random.default_rng(30)
+    for n in [1, 8, 127, 128, 129, 135, 257, 1001, 14001, 40000]:
+        nodes = list(pairwise_nodes(0, n))
+        for _ in range(20):
+            first, last = sorted(rng.integers(0, n, 2))
+            if n > 1 and rng.random() < 0.3:  # a span at either end of the row
+                first, last = (0, last) if rng.random() < 0.5 else (first, n - 1)
+            holding = [(a, b) for a, b in nodes if a <= first and last < b]
+            assert walk._sum_node(n, int(first), int(last)) == min(holding,
+                                                                    key=lambda ab: ab[1] - ab[0])
+
+
+def test_sum_node_sums_equal_the_full_row_sums():
+    # The moments of evolve rest on this: a row that is +0.0 outside
+    # first .. last sums over _sum_node's node to the bits of the full sum.
+    # It fails if numpy's float64 reduction changes its pairwise tree.
+    rng = np.random.default_rng(2017)
+    sizes = [1, 2, 7, 8, 9, 127, 128, 129, 130, 255, 256, 257, 1001, 3001, 14001, 40000]
+    for n in sizes + list(rng.integers(1, 40001, 20)):
+        n = int(n)
+        for _ in range(12):
+            first, last = sorted(int(i) for i in rng.integers(0, n, 2))
+            if rng.random() < 0.4:  # a span at either end of the row
+                first, last = (0, last) if rng.random() < 0.5 else (first, n - 1)
+            row = np.zeros(n)
+            inside = rng.random(last - first + 1) ** 4
+            inside[rng.random(inside.size) < 0.2] = 0.0  # exact zeros inside the span
+            row[first : last + 1] = inside
+            # negative m: products outside the span are -0.0, inside it mixed signs
+            m = np.arange(n, dtype=float) - int(rng.integers(0, n))
+            assert_node_sums_equal_full_sums(row, m, first, last)
+
+
+def test_sum_node_sums_keep_an_exact_cancellation():
+    # a symmetric row of dyadic weights around m = 0, so every partial sum is
+    # exact and sum(p m) is exactly 0 in both orders; a zero sum is +0.0
+    for n, centre, reach in ((14001, 7000, 100), (14001, 6990, 40), (300, 150, 3), (9, 4, 4)):
+        row = np.zeros(n)
+        weights = np.arange(1, reach + 2) / 64
+        row[centre - reach : centre + reach + 1] = np.concatenate((weights, weights[-2::-1]))
+        m = np.arange(n, dtype=float) - centre
+        assert (row * m).sum() == 0 and not np.signbit((row * m).sum())
+        assert_node_sums_equal_full_sums(row, m, centre - reach, centre + reach)
+
+
+def test_off_centre_evolve_keeps_the_full_row_moments(monkeypatch):
+    # a walk far from the chain's centre on 3,001-cell rows, where the nodes
+    # summed are proper subtrees of the row; the reference sums the dense rows
+    # as evolve did before it summed nodes
+    spec = LatticeSpec.two_region(1500, FIG5_LEFT, FIG5_RIGHT, boundary=-700)
+    g = build_lattice(spec)
+    half = g.spec.half_length
+    sum_node, nodes = walk._sum_node, []
+
+    def recording_sum_node(n, first, last):
+        nodes.append(sum_node(n, first, last))
+        return nodes[-1]
+
+    monkeypatch.setattr(walk, "_sum_node", recording_sum_node)
+    for cell, direction in ((-700, "right"), (-700, "left"), (1234, "right")):
+        nodes.clear()
+        obs = evolve(initial_state(g, cell, "b", direction), g, 200)
+        assert len(nodes) == 201 and max(b - a for a, b in nodes) < g.spec.n_cells
+        m = obs.cells.astype(float)
+        total, first, second, p_boundary = np.array(
+            [(row.sum(), np.multiply(row, m).sum(), np.multiply(row, m**2).sum(),
+              row[half - 1 : half + 2].sum()) for row in obs.p_cell]).T
+        mean = first / total
+        sigma = np.sqrt(np.maximum(second / total - mean**2, 0.0))
+        for got, want in ((obs.mean, mean), (obs.sigma, sigma), (obs.p_boundary, p_boundary)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_evolve_peak_memory_is_p_cell_two_states_and_one_row():
