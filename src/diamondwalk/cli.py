@@ -188,7 +188,11 @@ def _run_walk(spec: LatticeSpec, steps: int, cell: int, subsite: str, direction:
     report = audit_graph(graph)
     if not report.ok:
         raise AssertionError("graph audit failed: " + "; ".join(report.violations))
-    state = walk_mod.initial_state(graph, cell, subsite, direction)
+    try:  # the state is the first chain-sized allocation
+        state = walk_mod.initial_state(graph, cell, subsite, direction)
+    except MemoryError as exc:
+        raise ConfigError(f"a state of {graph.dim} slots does not fit in memory "
+                          f"(half_length {spec.half_length})") from exc
     return walk_mod.evolve(state, graph, steps)
 
 

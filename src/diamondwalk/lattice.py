@@ -13,7 +13,8 @@ enlarging the state space.
 One frozen :class:`LatticeSpec` describes the chain, e.g.
 ``LatticeSpec.two_region(half, left, right)`` for two phase regions that meet
 at a boundary state; it refuses regions that leave a cell uncovered when it is
-built, before any table is allocated.
+built.  Neither it nor the built :class:`LatticeGraph` holds anything
+chain-sized.
 
 Indexing is fully deterministic:
 
@@ -36,8 +37,10 @@ Indexing is fully deterministic:
   ``n_int = 4 * n_d * L_int``.
 
 This layout is the one wiring model, not an implementation detail: the walk's
-free propagation is a shift by one slot, :func:`build_lattice` reads every
-step table off these views of ``np.arange(dim)``, and the tests' oracle
+free propagation is a shift by one slot; every diamond is wired alike, so
+:func:`build_lattice` reads diamond 0's wiring off these views and each other
+diamond's is the same moved by whole diamonds (``4 L_int`` slots on an
+internal edge, ``2 L_ext`` on an external one); and the tests' oracle
 (``tests/step_oracle.py``) restates the wiring from the spec alone.
 
 Ports follow the (A, B, C) -> (0, 1, 2) convention: port A faces the external
@@ -48,7 +51,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,39 +170,55 @@ class LatticeSpec:
         return 2 * (cell + self.half_length) + SUBSITES.index(subsite)
 
 
+class _Rows(NamedTuple):
+    """Diamonds ``lo .. hi``: their vertices' step-table rows and port-C
+    phases (vertex ``2d + side`` in row ``2 (d - lo) + side``), and the cell
+    of each slot of their internal edges and of external edges ``lo .. hi + 1``."""
+
+    lo: int
+    hi: int
+    in_slot: np.ndarray  # (2 n, 3) last slot of the edge arriving at each port
+    out_slot: np.ndarray  # (2 n, 3) first slot of the edge leaving each port
+    port_c_phase: np.ndarray  # (2 n,) exp(i phi_d) port C applies on the bottom edge
+    internal_cell: np.ndarray
+    external_cell: np.ndarray
+
+
 @dataclass(frozen=True)
 class LatticeGraph:
-    """The built chain and the read-only tables the walk and the audit read.
+    """The built chain: diamond 0's wiring, which every diamond repeats.
 
-    Every table is read off the slot layout of the module docstring, with
-    ``n_diamonds = spec.n_diamonds``; the graph restates nothing of the spec,
-    whose ``half_length`` gives the cells ``-M..M`` and whose ``diamond_index``
-    numbers the diamonds.  A state is
-    ``state[:n_int].reshape(n_diamonds, 2, 2, L_int)``
-    (diamond, top/bottom, direction, position) followed by
-    ``state[n_int:].reshape(n_diamonds + 1, 2, L_ext)`` (external edge,
-    direction, position).  Vertices and mirrors read the last slot of an edge
-    and write the first slot of the same edge traversed the other way; the
-    walk shifts every other slot by one.  ``dim``, the slots in a state, is
-    ``slot_cell.size``.  The fields cannot be rebound and every array is
-    read-only, so a graph is safe to share between concurrent evolutions.
+    Vertex ``2d + side`` (side 0 the left vertex) reads, per port (A, B, C),
+    the slots ``in_template[side] + d * stride`` and writes
+    ``out_template[side] + d * stride``: the last slot of an edge, and the
+    first of the same edge traversed back, as the mirrors do; the walk
+    shifts every other slot by one.  Port C enters the bottom edge, whose
+    phase is ``region_phases[i, s]``, ``exp(i phi)`` of subsite ``s`` in
+    ``spec.regions[i]``.  The spec gives the cells ``-M..M`` and numbers the
+    diamonds; ``dim`` is the state's slots.
+
+    Nothing in it is chain-sized: :func:`_window` builds the rows of the
+    diamonds a walk reaches into the graph's memo.  The fields cannot be
+    rebound, every array, the memo's too, is read-only, and the memo and the
+    last window served are replaced whole, never written, so a graph is safe
+    to share between concurrent evolutions.  :func:`dataclasses.replace`
+    gives an empty memo.
     """
 
     spec: LatticeSpec
     vertex_matrix: np.ndarray  # the 3x3 DEFAULT_THETA unitary every vertex shares
-    in_slot: np.ndarray  # (2 * n_diamonds, 3) last slot of the edge arriving at each port
-    out_slot: np.ndarray  # (2 * n_diamonds, 3) first slot of the edge leaving each port
-    port_c_phase: np.ndarray  # (2 * n_diamonds,) exp(i phi_d) port C applies on the bottom edge
+    in_template: np.ndarray  # (2, 3) the in_slot rows of diamond 0's vertices
+    out_template: np.ndarray  # (2, 3) their out_slot rows
+    stride: np.ndarray  # (3,) slots a port's edge moves per diamond, (2 L_ext, 4 L_int, 4 L_int)
     mirror_src: np.ndarray  # (2,) last slots running into the left and right mirror
     mirror_dst: np.ndarray  # (2,) first slots they reflect into
+    region_phases: np.ndarray  # (regions, 2) exp(i phi_a), exp(i phi_b) per spec region
+    _memo: _Rows | None = field(default=None, init=False, repr=False, compare=False)
+    _served: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    # (dim,) cell position (m + M) each slot's probability counts toward: gap
-    # amplitudes count toward the diamond they are moving toward
-    slot_cell: np.ndarray
-
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self.slot_cell.size
+        return _n_internal(self.spec) + 2 * (self.spec.n_diamonds + 1) * self.spec.external_length
 
 
 def _n_internal(spec: LatticeSpec) -> int:
@@ -205,117 +226,128 @@ def _n_internal(spec: LatticeSpec) -> int:
     return 4 * spec.n_diamonds * spec.internal_length
 
 
-def _n_slots(spec: LatticeSpec) -> int:
-    return _n_internal(spec) + 2 * (spec.n_diamonds + 1) * spec.external_length
+def _rows(graph: LatticeGraph, lo: int, hi: int) -> _Rows:
+    """The rows of diamonds ``lo .. hi``, read-only: template rows moved by strides."""
+    spec = graph.spec
+    diamonds = np.arange(lo, hi + 1)
+    shift = diamonds[:, None, None] * graph.stride
+    # one phase per cell and subsite of the range; the spec covers each cell
+    half, first = spec.half_length, lo // 2
+    table = np.empty((hi // 2 - first + 1, 2), dtype=complex)
+    for (r_lo, r_hi, _, _), phase in zip(spec.regions, graph.region_phases):
+        # clipped: a region outside the range writes no row
+        table[max(r_lo + half - first, 0):max(r_hi + half + 1 - first, 0)] = phase
+    # Cell attribution: amplitude in a diamond belongs to its cell, and in a
+    # gap to the diamond it is about to collide with (left-movers to the left
+    # neighbour), the only single-valued rule that puts an injected photon
+    # wholly in its subsite's cell and keeps P(m, t) exactly mirror symmetric.
+    # At a mirror stub the amplitude counts toward the end diamond.
+    edge = np.arange(lo, hi + 2)
+    external_cell = np.stack((np.minimum(edge, spec.n_diamonds - 1), np.maximum(edge - 1, 0)), 1)
+    rows = _Rows(lo, hi, (graph.in_template + shift).reshape(-1, 3),
+                 (graph.out_template + shift).reshape(-1, 3),
+                 table.ravel()[lo - 2 * first : hi + 1 - 2 * first].repeat(2),
+                 (diamonds // 2).repeat(4 * spec.internal_length),
+                 (external_cell // 2).repeat(spec.external_length))
+    for arr in rows[2:]:
+        arr.setflags(write=False)
+    return rows
 
 
-def _slot_views(slots: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The internal view ``[diamond, top/bottom, direction, position]`` and the
-    external view ``[edge, direction, position]`` of a per-slot array."""
-    n_internal = _n_internal(spec)
-    return (slots[:n_internal].reshape(spec.n_diamonds, 2, 2, spec.internal_length),
-            slots[n_internal:].reshape(spec.n_diamonds + 1, 2, spec.external_length))
-
-
-def _window_slots(graph: LatticeGraph,
-                  window: tuple[int, int] | None) -> tuple[int, int, slice, slice]:
-    """``(lo, hi)`` of the window (the whole chain when None), then the slots of
-    diamonds ``lo .. hi``: rows ``lo .. hi`` of the internal view, then rows
-    ``lo .. hi + 1`` (the external edges around them) of the external view,
-    each a contiguous range of the state.
-    Raises :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
-    last = graph.spec.n_diamonds - 1
-    lo, hi = (0, last) if window is None else map(operator.index, window)
+def _window(graph: LatticeGraph,
+            window: tuple[int, int] | None) -> tuple[slice, slice, _Rows]:
+    """The slots of diamonds ``window=(lo, hi)`` (the whole chain when None),
+    rows ``lo .. hi`` of the internal view and rows ``lo .. hi + 1`` of the
+    external view, each a contiguous range of the state, and their
+    :class:`_Rows`, views of the graph's memo.  A window outside the memo
+    replaces it with the window's own rows: ``evolve`` asks first for its
+    final window, which holds every later one.  The last window served is
+    kept with its views: a walk asks for each window several times.  Raises
+    :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
+    spec = graph.spec
+    lo, hi = (0, spec.n_diamonds - 1) if window is None else map(operator.index, window)
+    served = graph._served
+    if served is not None and served[0] == (lo, hi):
+        return served[1]
+    last = spec.n_diamonds - 1
     if not 0 <= lo <= hi <= last:
         raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
-    internal, external = graph.spec.internal_length, graph.spec.external_length
-    external_base = _n_internal(graph.spec)
-    return (lo, hi, slice(4 * lo * internal, 4 * (hi + 1) * internal),
-            slice(external_base + 2 * lo * external, external_base + 2 * (hi + 2) * external))
+    memo = graph._memo
+    if memo is None or lo < memo.lo or hi > memo.hi:
+        memo = _rows(graph, lo, hi)
+        object.__setattr__(graph, "_memo", memo)  # replaced whole, never written
+    internal, external = spec.internal_length, spec.external_length
+    i, j, base = lo - memo.lo, hi + 1 - memo.lo, _n_internal(spec)
+    result = (slice(4 * lo * internal, 4 * (hi + 1) * internal),
+              slice(base + 2 * lo * external, base + 2 * (hi + 2) * external),
+              _Rows(lo, hi, memo.in_slot[2 * i : 2 * j], memo.out_slot[2 * i : 2 * j],
+                    memo.port_c_phase[2 * i : 2 * j],
+                    memo.internal_cell[4 * i * internal : 4 * j * internal],
+                    memo.external_cell[2 * i * external : 2 * (j + 1) * external]))
+    object.__setattr__(graph, "_served", ((lo, hi), result))
+    return result
+
+
+def _lowest(spec: LatticeSpec, slots: np.ndarray) -> np.ndarray:
+    """The lowest diamond whose window holds each slot (-1 for external edge 0)."""
+    base = _n_internal(spec)
+    return np.where(slots >= base, (slots - base) // (2 * spec.external_length) - 1,
+                    slots // (4 * spec.internal_length))
+
+
+def _slot_cells(graph: LatticeGraph, slots: np.ndarray) -> np.ndarray:
+    """The cell each of ``slots`` (an int array) counts toward, read through
+    :func:`_window` over the diamonds whose windows hold them."""
+    spec = graph.spec
+    internal, external, base = spec.internal_length, spec.external_length, _n_internal(spec)
+    outer, holder = slots >= base, np.maximum(_lowest(spec, slots), 0)
+    lo = int(holder.min())
+    rows = _window(graph, (lo, int(holder.max())))[2]
+    return np.where(outer, rows.external_cell[np.where(outer, slots - base - 2 * lo * external, 0)],
+                    rows.internal_cell[np.where(outer, 0, slots - 4 * lo * internal)])
 
 
 def _window_cells(graph: LatticeGraph, window: tuple) -> tuple:
-    """First and last cell position that the slots of ``window`` count toward:
-    those of the left-moving slots of external edge ``lo`` and of the
-    right-moving slots of external edge ``hi + 1``, the window's outermost.
-    ``lo`` and ``hi`` may be equal-shaped integer arrays, one window each,
-    which gives an array of first and one of last cells.  Raises
-    :class:`ValueError` unless every ``0 <= lo <= hi <= n_diamonds - 1``."""
-    lo, hi = np.asarray(window[0]), np.asarray(window[1])
-    last = graph.spec.n_diamonds - 1
+    """First and last cell the slots of ``window`` count toward: those of the
+    outermost, left-moving on external edge ``lo`` and right-moving on edge
+    ``hi + 1``.  ``lo`` and ``hi`` may be equal-shaped integer arrays, one
+    window each.  Raises :class:`ValueError` unless every
+    ``0 <= lo <= hi <= n_diamonds - 1``."""
+    lo, hi, last = np.asarray(window[0]), np.asarray(window[1]), graph.spec.n_diamonds - 1
     if not np.all((0 <= lo) & (lo <= hi) & (hi <= last)):
         raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
     length, base = graph.spec.external_length, _n_internal(graph.spec)
-    return (graph.slot_cell[base + (2 * lo + 1) * length],
-            graph.slot_cell[base + (2 * hi + 2) * length])
-
-
-def _diamond_phases(spec: LatticeSpec) -> np.ndarray:
-    """``exp(i phi_d)``, the phase of each diamond's bottom edge, in diamond order."""
-    half = spec.half_length
-    # one exp per region and subsite: an element's bits do not depend on the
-    # array it is exponentiated in
-    phases = np.exp(1j * np.array([region[2:] for region in spec.regions]))
-    table = np.empty((spec.n_cells, 2), dtype=complex)  # the spec covers each cell
-    for (lo, hi, _, _), phase in zip(spec.regions, phases):
-        # clipped: a region outside the chain writes no row
-        table[max(lo + half, 0):max(hi + half + 1, 0)] = phase
-    return table.ravel()
+    return tuple(_slot_cells(graph, np.stack((base + (2 * lo + 1) * length,
+                                              base + (2 * hi + 2) * length))))
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
-    """Materialise the chain described by ``spec``.
+    """Describe the chain of ``spec`` by diamond 0's wiring, the strides that
+    repeat it, the mirrors and each region's phases: a few small arrays at
+    any chain length.  Rebuilding from an equal spec yields identical arrays."""
+    internal, external, n_diamonds = spec.internal_length, spec.external_length, spec.n_diamonds
+    # diamond 0's internal edges and external edges 0 and 1, and the stub n_d
+    inner = np.arange(4 * internal).reshape(2, 2, internal)
+    outer = _n_internal(spec) + np.arange(4 * external).reshape(2, 2, external)
+    stub = outer[0] + 2 * n_diamonds * external
 
-    Every diamond is wired the same way, so each table is a slice of the slot
-    layout's views of ``np.arange(dim)``, with no per-element loop.  Rebuilding
-    from an equal spec yields identical arrays.
-    """
-    n_diamonds = spec.n_diamonds
-    dim = _n_slots(spec)
-    internal, external = _slot_views(np.arange(dim), spec)
-
-    # Tables indexed [diamond, side, port], vertex 2d + side.  Port A sits on
-    # external edge d + side, ports B, C on diamond d's top and bottom edges.
-    # A left vertex (side 0) writes forward into its diamond and backward out
-    # of it, a right vertex the reverse; each port reads the last slot of the
-    # edge it writes, traversed the other way.
-    in_slot = np.empty((n_diamonds, 2, 3), dtype=int)
-    out_slot = np.empty_like(in_slot)
-    in_slot[:, 0, 0], in_slot[:, 1, 0] = external[:-1, 0, -1], external[1:, 1, -1]
-    out_slot[:, 0, 0], out_slot[:, 1, 0] = external[:-1, 1, 0], external[1:, 0, 0]
-    in_slot[:, :, 1:] = internal[:, :, ::-1, -1].transpose(0, 2, 1)
-    out_slot[:, :, 1:] = internal[:, :, :, 0].transpose(0, 2, 1)
-
-    # mirror terminations: the backward end of the left stub and the forward
-    # end of the right stub, each reflected into the opposite direction
-    mirror_src = external[[0, -1], [1, 0], -1]
-    mirror_dst = external[[0, -1], [0, 1], 0]
-
-    # Cell attribution of probability for observables.  Amplitude inside a
-    # diamond belongs to that diamond's cell.  Amplitude travelling in a gap
-    # between diamonds belongs to the diamond it is about to collide with
-    # (left-movers to the left neighbour, right-movers to the right); this is
-    # the only single-valued rule that both puts an injected photon wholly in
-    # its target subsite's cell and keeps P(m, t) exactly mirror symmetric.
-    # At a mirror stub the amplitude counts toward the end diamond.
-    slot_cell = np.empty(dim, dtype=int)
-    internal_cell, external_cell = _slot_views(slot_cell, spec)
-    edge = np.arange(n_diamonds + 1)
-    internal_cell[...] = (edge[:-1] // 2)[:, None, None, None]
-    external_cell[:, 0] = (np.minimum(edge, n_diamonds - 1) // 2)[:, None]
-    external_cell[:, 1] = (np.maximum(edge - 1, 0) // 2)[:, None]
-
-    tables = dict(in_slot=in_slot.reshape(-1, 3), out_slot=out_slot.reshape(-1, 3),
-                  port_c_phase=_diamond_phases(spec).repeat(2), mirror_src=mirror_src,
-                  mirror_dst=mirror_dst, slot_cell=slot_cell)
+    # Rows [side, port].  Port A sits on external edge side, ports B, C on
+    # the top and bottom edges.  A left vertex (side 0) writes forward into
+    # its diamond and backward out of it, a right vertex the reverse; each
+    # port reads the last slot of the edge it writes, traversed back.
+    # Mirror terminations: the backward end of the left stub and the forward
+    # end of the right stub, each reflected into the opposite direction.
+    tables = dict(in_template=np.column_stack((outer[[0, 1], [0, 1], -1], inner[:, ::-1, -1].T)),
+                  out_template=np.column_stack((outer[[0, 1], [1, 0], 0], inner[:, :, 0].T)),
+                  stride=np.array([2 * external, 4 * internal, 4 * internal]),
+                  mirror_src=np.array([outer[0, 1, -1], stub[0, -1]]),
+                  mirror_dst=np.array([outer[0, 0, 0], stub[1, 0]]),
+                  # one exp per region and subsite: an element's bits do not
+                  # depend on the array it is exponentiated in
+                  region_phases=np.exp(1j * np.array([region[2:] for region in spec.regions])))
     for arr in tables.values():
         arr.setflags(write=False)
-
-    return LatticeGraph(
-        spec=spec,
-        vertex_matrix=vertex_unitary(DEFAULT_THETA),
-        **tables,
-    )
+    return LatticeGraph(spec=spec, vertex_matrix=vertex_unitary(DEFAULT_THETA), **tables)
 
 
 @dataclass(frozen=True)
@@ -328,137 +360,104 @@ class AuditReport:
         return not self.violations
 
 
-# vertex rows per block of the locality check.  Each of its int64 temporaries
-# (3 entries per row, 96 KiB) stays under glibc's 128 KiB mmap threshold, so
-# every block reuses the same heap pages instead of faulting in fresh ones;
-# at half_length 7000, 1024, 2048, 3072, 4096 and 5460 rows took 2.66, 2.21,
-# 2.06, 2.06 and 2.03 ms per audit (min of 5 x 10, 2 vCPU AMD EPYC)
-_AUDIT_ROWS = 4096
+def _reverse_ends(spec: LatticeSpec, starts: np.ndarray) -> np.ndarray:
+    """Per slot: the last slot of its edge traversed back if it starts the edge, else -1."""
+    base = _n_internal(spec)
+    length = np.where(starts >= base, spec.external_length, spec.internal_length)
+    offset = base * (starts >= base)
+    edge, pos = np.divmod(starts - offset, length)
+    return np.where(pos != 0, -1, offset + (edge ^ 1) * length + length - 1)
 
 
-def _marks(table: np.ndarray, mirrors: np.ndarray, dim: int) -> np.ndarray | None:
-    """Which of the ``dim`` slots ``table`` or ``mirrors`` holds, one byte per
-    slot; None if an entry is out of range."""
-    if min(table.min(), mirrors.min()) < 0 or max(table.max(), mirrors.max()) >= dim:
-        return None
-    marks = np.zeros(dim, dtype=bool)
-    marks[table] = True
-    marks[mirrors] = True
-    return marks
-
-
-def _bijection_violations(graph: LatticeGraph) -> list[str]:
-    """The sub-step is a bijection of slots: vertices and mirrors read distinct
-    edge ends and write distinct edge starts, the last slot is an end, and
-    every slot is written exactly once, by a start or by the shift from a
-    non-end at s - 1.  Allocates one byte per slot for the ends and one for
-    the starts, and one more for the comparison."""
-    ends = _marks(graph.in_slot, graph.mirror_src, graph.dim)
-    starts = _marks(graph.out_slot, graph.mirror_dst, graph.dim)
-    if ends is None or starts is None:
+def _step_table_violations(graph: LatticeGraph) -> list[str]:
+    """The step-table checks of :func:`audit_graph`, in its order."""
+    spec, dim, base = graph.spec, graph.dim, _n_internal(graph.spec)
+    n_diamonds, internal, external = spec.n_diamonds, spec.internal_length, spec.external_length
+    templates = (graph.in_template, graph.out_template)
+    period = ["a vertex is not wired as diamond 0's, moved onto its own diamond's edges"]
+    if ([t.shape for t in (*templates, graph.stride, graph.mirror_src, graph.mirror_dst)]
+            != [(2, 3), (2, 3), (3,), (2,), (2,)]):
+        return period  # every check below relies on these shapes
+    mirrors = np.concatenate((graph.mirror_src, graph.mirror_dst))
+    # an entry is affine in the diamond: it lies between diamond 0's and the last's
+    entries = np.concatenate([*templates, *(t + (n_diamonds - 1) * graph.stride
+                                            for t in templates)])
+    if min(entries.min(), mirrors.min()) < 0 or max(entries.max(), mirrors.max()) >= dim:
         return ["step slot tables point outside the state"]
+    # port A on external edges 0 and 1, ports B and C on diamond 0's edges
+    own_lo = np.array([base, 0, 0])
+    own_hi = own_lo + [4 * external, 4 * internal, 4 * internal]
+    if not (np.array_equal(graph.stride, [2 * external, 4 * internal, 4 * internal])
+            and all(np.all((own_lo <= t) & (t < own_hi)) for t in templates)):
+        return period
+
+    # So all diamonds' internal edges, and all external edges between two
+    # diamonds, are read and written alike, but at the chain ends, on the
+    # edges holding a mirror slot and on the edges after them (the shift
+    # writes their first slot).  So the windows of the end diamonds and of
+    # the diamonds around each mirror slot cover every case: the lowest
+    # window of each run of them past diamond 0 holds edges of each kind
+    # that no mirror slot touches.  Only the rows of diamonds next to those
+    # windows read or write their slots and the slot before each.
+    near = _lowest(spec, mirrors)[:, None] + [-1, 0, 1, 2]
+    sampled = np.unique(np.concatenate(([0, n_diamonds - 1], near.ravel())))
+    sampled = sampled[(sampled >= 0) & (sampled < n_diamonds)]
+    slots = np.unique(np.concatenate(
+        ((sampled[:, None] * 4 * internal + np.arange(4 * internal)).ravel(),
+         (base + sampled[:, None] * 2 * external + np.arange(4 * external)).ravel())))
+    readers = np.unique((sampled[:, None] + [-2, -1, 0, 1]).ravel())
+    shift = readers[(readers >= 0) & (readers < n_diamonds), None, None] * graph.stride
+    ends = np.sort(np.concatenate(((graph.in_template + shift).ravel(), graph.mirror_src)))
+    starts = np.sort(np.concatenate(((graph.out_template + shift).ravel(), graph.mirror_dst)))
+
+    def count(table, at):  # occurrences of each slot of ``at`` in a sorted table
+        return np.searchsorted(table, at, "right") - np.searchsorted(table, at, "left")
+
+    n_ends, n_starts = count(ends, slots), count(starts, slots)
     violations = []
-    distinct = (np.count_nonzero(ends) == graph.in_slot.size + graph.mirror_src.size
-                and np.count_nonzero(starts) == graph.out_slot.size + graph.mirror_dst.size)
-    if not distinct:
+    if max(n_ends.max(), n_starts.max()) > 1:
         violations.append("a slot is read or written by more than one vertex port or mirror")
-    # with equal-sized tables a repeated entry leaves some slot not written once
-    if not (distinct and starts[0] and ends[-1] and np.array_equal(starts[1:], ends[:-1])):
+    written = n_starts + ((slots >= 1) & (count(ends, slots - 1) == 0))
+    if n_ends[-1] != 1 or np.any(written != 1):  # slots[-1] is the state's last slot
         violations.append("step does not write every slot exactly once")
-    return violations
+    if violations:
+        return violations
 
-
-def _edge_layout(writes: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray,
-                                                                  np.ndarray]:
-    """For each slot of ``writes``, from the slot layout alone: the last slot of
-    the reverse edge (directed edge ``e ^ 1``) if the slot starts its edge,
-    else -1; the lowest diamond whose window holds it; and whether it is on an
-    external edge."""
-    n_internal = _n_internal(spec)
-    external = writes >= n_internal
-    length = np.where(external, spec.external_length, spec.internal_length)
-    base = n_internal * external
-    edge, pos = np.divmod(writes - base, length)  # directed edge within its part
-    reverse = np.where(pos != 0, -1, base + (edge ^ 1) * length + length - 1)
-    # an internal directed edge is 4 d + 2 top/bottom + direction, so in
-    # diamond d's window; an external one 2 j + direction, lowest in j - 1's
-    lowest = (edge >> (2 - external)) - external
-    return reverse, lowest, external
-
-
-def _write_blocks(graph: LatticeGraph):
-    """``(reads, writes, owner)`` for blocks of ``_AUDIT_ROWS`` vertex rows and
-    then for the two mirrors: the slots each vertex port or mirror reads and
-    writes, and the diamond it belongs to."""
-    rows = graph.out_slot.shape[0]
-    for start in range(0, rows, _AUDIT_ROWS):
-        stop = min(start + _AUDIT_ROWS, rows)
-        yield (graph.in_slot[start:stop], graph.out_slot[start:stop],
-               np.arange(start, stop)[:, None] // 2)
-    yield graph.mirror_src, graph.mirror_dst, np.array([0, graph.spec.n_diamonds - 1])
-
-
-def _locality_violations(graph: LatticeGraph) -> list[str]:
-    """Locality: a vertex port or mirror reads the last slot of the edge it
-    writes, traversed the other way, and writes that edge's first slot, within
-    its own diamond's window (its internal edges and the external edges on
-    either side).  So amplitude needs a record to cross a diamond, and the
-    walk's light-cone window grows one diamond per record.  Meaningful only
-    once the slots are a bijection.  Works each write out from the slot layout
-    a block of vertex rows at a time, so it allocates nothing slot-sized."""
-    reads_own_edge = inside_window = True
-    for reads, writes, owner in _write_blocks(graph):
-        reverse, lowest, external = _edge_layout(writes, graph.spec)
-        reads_own_edge = reads_own_edge and np.array_equal(reads, reverse)
-        offset = owner - lowest
-        inside_window = inside_window and not np.any((offset < 0) | (offset > external))
-    violations = []
-    if not reads_own_edge:
+    # every vertex writes within its own window, and diamond 0's stand for all
+    if not (np.array_equal(graph.in_template, _reverse_ends(spec, graph.out_template))
+            and np.array_equal(graph.mirror_src, _reverse_ends(spec, graph.mirror_dst))):
         violations.append("a vertex port or mirror does not read the edge it writes")
-    if not inside_window:
+    # the end diamonds own the mirrors, each writing in its window
+    offset = np.array([0, n_diamonds - 1]) - _lowest(spec, graph.mirror_dst)
+    if np.any((offset < 0) | (offset > (graph.mirror_dst >= base))):
         violations.append("a vertex port or mirror writes outside its diamond's window")
     return violations
 
 
 def audit_graph(graph: LatticeGraph) -> AuditReport:
-    """Structural audit of the step tables against the spec's slot layout.
+    """Structural audit of the graph against the spec's slot layout.
 
-    Checks that one sub-step is a bijection of slots, that every vertex port
-    and mirror is local, that each vertex's port-C phase is its diamond's
-    ``exp(i phi_d)`` and that every slot counts toward a cell.  Returns the
-    spec's counts and a list of violations; an intact graph reports none.
-    Allocates no slot-sized int64 array: the bijection check marks a byte per
-    slot, and the locality check reuses one block-sized set of temporaries on
-    the heap, so of fresh pages it faults in little more than those marks.
+    Checks that every vertex is wired as diamond 0's, moved onto its own
+    diamond's edges; then that one sub-step is a bijection of slots
+    (vertices and mirrors read distinct edge ends and write distinct edge
+    starts, the last slot is an end, and the shift from a non-end at s - 1
+    or a start writes each slot once) and local (each vertex port or mirror
+    reads the last slot of the edge it writes, traversed back, within its
+    diamond's window), on the few windows that stand for all; and that each
+    region meeting the chain has its ``exp(i phi)`` phases.  Returns the
+    spec's counts and the violations; none for an intact graph.  Its work
+    and memory do not grow with the chain.
     """
-    violations: list[str] = []
-    spec = graph.spec
-    n_diamonds = spec.n_diamonds
-    if graph.dim != _n_slots(spec):
-        violations.append(f"{graph.dim} slots, but the spec's layout has {_n_slots(spec)}")
-    # each check's tables are freed when it returns, before the next allocates
-    violations += _bijection_violations(graph)
-    if not violations and graph.out_slot.size == 6 * n_diamonds:
-        violations += _locality_violations(graph)
-
-    # port C enters the bottom edge, whose phase is the diamond's exp(i phi_d);
-    # diamond d's vertices are 2d and 2d + 1
-    phases = _diamond_phases(spec)
-    if not (np.array_equal(graph.port_c_phase[::2], phases)
-            and np.array_equal(graph.port_c_phase[1::2], phases)):
+    spec, n_diamonds = graph.spec, graph.spec.n_diamonds
+    violations = _step_table_violations(graph)
+    # port C enters the bottom edge, whose phase is its region's exp(i phi);
+    # a region wholly outside the chain holds no vertex
+    expected = np.exp(1j * np.array([region[2:] for region in spec.regions]))
+    meets = [lo <= spec.half_length and hi >= -spec.half_length for lo, hi, _, _ in spec.regions]
+    if not (graph.region_phases.shape == expected.shape
+            and np.array_equal(graph.region_phases[meets], expected[meets])):
         violations.append("port_c_phase differs from the phase of each vertex's diamond")
-
-    # every slot's probability is attributed to a cell of the chain
-    if np.any((graph.slot_cell < 0) | (graph.slot_cell >= spec.n_cells)):
-        violations.append("slot owner cell out of range")
-
-    counts = {
-        "cells": spec.n_cells,
-        "diamonds": n_diamonds,
-        "vertices": 2 * n_diamonds,
-        "internal_edges": 2 * n_diamonds,
-        "external_edges": n_diamonds + 1,
-        "directed_edges": 2 * (3 * n_diamonds + 1),
-        "slots": graph.dim,
-    }
+    counts = {"cells": spec.n_cells, "diamonds": n_diamonds, "vertices": 2 * n_diamonds,
+              "internal_edges": 2 * n_diamonds, "external_edges": n_diamonds + 1,
+              "directed_edges": 2 * (3 * n_diamonds + 1), "slots": graph.dim}
     return AuditReport(counts=counts, violations=tuple(violations))

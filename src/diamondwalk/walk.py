@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGraph, _window_cells, _window_slots
+from .lattice import LatticeGraph, _slot_cells, _window, _window_cells
 
 __all__ = [
     "LightConeOverflow",
@@ -116,7 +116,7 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     d = graph.spec.diamond_index(cell, subsite)  # validates cell and subsite
     amplitudes = np.zeros(graph.dim, dtype=complex)
-    amplitudes[graph.in_slot[2 * d + (direction == "left"), 0]] = 1.0
+    amplitudes[_window(graph, (d, d))[2].in_slot[int(direction == "left"), 0]] = 1.0
     return WalkState(amplitudes=amplitudes)
 
 
@@ -136,15 +136,16 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     not a complex128 array of ``graph.dim`` slots or may share memory with the
     input's amplitudes.
 
-    Only the window's slots (see :func:`~diamondwalk.lattice._window_slots`)
-    are read and written, and the vertex and mirror writes cover every one the
-    shift does not (:func:`~diamondwalk.lattice.audit_graph` checks this).
+    Only the window's slots (see :func:`~diamondwalk.lattice._window`) are
+    read and written, through the window's rows of the graph's memo, and the
+    vertex and mirror writes cover every one the shift does not
+    (:func:`~diamondwalk.lattice.audit_graph` checks this).
     This is exact when ``state`` is zero outside the slots of diamonds
     ``lo + 1 .. hi - 1``; where the window reaches a chain end, that end needs
     no such margin.
     """
     _check_state(state, graph)
-    lo, hi, internal, external = _window_slots(graph, window)
+    internal, external, rows = _window(graph, window)
     old = state.amplitudes
     if out is not None and (out.dtype, out.shape) != (old.dtype, old.shape):
         raise ValueError(f"out has dtype {out.dtype} and shape {out.shape}, not the state's")
@@ -156,11 +157,10 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
     # the forward start of external edge lo is written by vertex 2 lo - 1,
     # outside the window, which reads only zeros (or by the left mirror)
     new[external.start] = 0
-    rows = slice(2 * lo, 2 * hi + 2)
-    outgoing = old[graph.in_slot[rows]] @ graph.vertex_matrix.T  # out[p] = sum_q U[p, q] in[q]
-    outgoing[:, 2] *= graph.port_c_phase[rows]  # port C enters the phase-shifted bottom edge
-    new[graph.out_slot[rows]] = outgoing
-    ends = slice(lo != 0, 1 + (hi == graph.spec.n_diamonds - 1))  # mirrors the window reaches
+    outgoing = old[rows.in_slot] @ graph.vertex_matrix.T  # out[p] = sum_q U[p, q] in[q]
+    outgoing[:, 2] *= rows.port_c_phase  # port C enters the phase-shifted bottom edge
+    new[rows.out_slot] = outgoing
+    ends = slice(rows.lo != 0, 1 + (rows.hi == graph.spec.n_diamonds - 1))  # mirrors reached
     if ends.start < ends.stop:  # most windows reach neither chain end
         new[graph.mirror_dst[ends]] = -old[graph.mirror_src[ends]]
     return WalkState(amplitudes=new)
@@ -169,19 +169,23 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
 def cell_probabilities(graph: LatticeGraph, state: WalkState, *,
                        window: tuple[int, int] | None = None) -> np.ndarray:
     """Probability per cell: each slot's ``|amplitude|^2`` summed into its
-    ``graph.slot_cell``, so gap amplitudes count toward the diamond they approach.
+    cell, so gap amplitudes count toward the diamond they approach.
 
-    Only the slots of ``window`` (see :func:`~diamondwalk.lattice._window_slots`)
+    Only the slots of ``window`` (see :func:`~diamondwalk.lattice._window`)
     are summed, by one ``np.bincount`` in their full-state order, so when every
     other slot is zero the result is bit-identical to the full sum.  Rejects a
     state built on another graph.
     """
     _check_state(state, graph)
-    _, _, internal, external = _window_slots(graph, window)
-    amplitudes, slot_cell = state.amplitudes, graph.slot_cell
-    cells = np.concatenate((slot_cell[internal], slot_cell[external]))
-    weights = np.abs(np.concatenate((amplitudes[internal], amplitudes[external]))) ** 2
-    return np.bincount(cells, weights=weights, minlength=graph.spec.n_cells)
+    internal, external, rows = _window(graph, window)
+    amplitudes = state.amplitudes
+    cells = np.concatenate((rows.internal_cell, rows.external_cell))
+    # |amplitude|^2 of both ranges, squared in place: no complex temporary
+    weights = np.empty(cells.size)
+    np.abs(amplitudes[internal], out=weights[: rows.internal_cell.size])
+    np.abs(amplitudes[external], out=weights[rows.internal_cell.size :])
+    return np.bincount(cells, weights=np.square(weights, out=weights),
+                       minlength=graph.spec.n_cells)
 
 
 def _sum_node(n: int, first: int, last: int) -> tuple[int, int]:
@@ -222,8 +226,8 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     either end cell, since then the mirror terminations are no longer
     unobservable.  Holds each record's span of cell probabilities (its
     ``cell_span``, outside which every cell is exactly zero), two state-sized
-    buffers and one row buffer for the moments, so its memory scales with
-    ``dim + records × span``, not with ``records × n_cells``.  Both buffers
+    buffers and the graph's rows of the final window, so its memory scales
+    with ``dim + records × span``, not with ``records × n_cells``.  Both buffers
     come zeroed from the allocator and only the window's slots are copied into
     or stepped, so of their pages only those the light cone reaches are
     faulted in.  Each record's moments are summed over the node of numpy's
@@ -252,7 +256,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # are copied.  Both buffers stay zero outside the window: a windowed step
     # rewrites every slot of the window, and the window never shrinks.
     last = graph.spec.n_diamonds - 1
-    occupied = graph.slot_cell[nonzero]
+    occupied = _slot_cells(graph, nonzero)
     lo, hi = 2 * int(occupied.min()), 2 * int(occupied.max()) + 1
     n_rows = n_record + 1
 
@@ -264,21 +268,24 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
                                                np.minimum(hi + grown, last))), axis=1)
     del grown  # of the record-sized arrays, only the spans outlive the set-up
     p_span = np.empty(int((cell_span[:, 1] - cell_span[:, 0] + 1).sum()))
-    # fresh zeroed pages from calloc, faulted in only where the window writes
+    half = graph.spec.half_length
+    m = np.arange(-half, half + 1, dtype=float)
+    m2 = m**2
+    # per record: the total and the sums of p m and p m^2, each over the
+    # pairwise-summation node that holds the record's span, which has the
+    # full row's bits (any other slice changes them)
+    sums = np.empty((3, n_rows))
+    p_boundary, mean, sigma = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+    # fresh zeroed pages from calloc, faulted in only where the window writes.
+    # They come after every array the walk returns (the cells take m's place
+    # below them), so once freed they can merge back into the heap's free top
+    # for the caller's next large array: with the cells above them, a
+    # walk_large-like op, run again and again, held ~5 MiB more resident.
     amplitudes, spare = np.zeros(graph.dim, complex), np.zeros(graph.dim, complex)
-    for slots in _window_slots(graph, window_at(0))[2:]:
+    for slots in _window(graph, window_at(0))[:2]:
         amplitudes[slots] = state.amplitudes[slots]
     state = WalkState(amplitudes=amplitudes)
 
-    half = graph.spec.half_length
-    cells = np.arange(-half, half + 1)
-    m = cells.astype(float)
-    m2 = m**2
-    # per record, through one row buffer: the total and the sums of p m and
-    # p m^2, each over the pairwise-summation node that holds the record's
-    # span, which has the full row's bits (any other slice changes them)
-    sums, buf = np.empty((3, n_rows)), np.empty_like(m)
-    p_boundary = np.empty(n_rows)
     start = 0  # of the record's span in p_span
     for r in range(n_rows):
         window = window_at(r)
@@ -289,8 +296,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
         span_lo, span_hi = cell_span[r].tolist()
         node = slice(*_sum_node(row.size, span_lo, span_hi))
         p = row[node]
-        sums[:, r] = (p.sum(), np.multiply(p, m[node], out=buf[node]).sum(),
-                      np.multiply(p, m2[node], out=buf[node]).sum())
+        sums[:, r] = p.sum(), (p * m[node]).sum(), (p * m2[node]).sum()
         p_boundary[r] = row[half - 1 : half + 2].sum()
         span = row[span_lo : span_hi + 1]
         p_span[start : start + span.size] = span
@@ -300,14 +306,14 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
                 f"end-cell probability {row[0] + row[-1]:.3e} at record {r}; "
                 "increase half_length (see auto_half_length)"
             )
+        del row, p, span  # so that two rows are never held at once
 
     total, first, second = sums
-    mean = first / total
-    var = second / total - mean**2
-    sigma = np.sqrt(np.maximum(var, 0.0))
-
+    np.divide(first, total, out=mean)
+    np.sqrt(np.maximum(second / total - mean**2, 0.0), out=sigma)
+    del m, m2  # the cells take m's place, below the two buffers
     return WalkObservables(
-        cells=cells,
+        cells=np.arange(-half, half + 1),
         records=np.arange(n_rows),
         substeps_per_record=substeps_per_record,
         p_span=p_span,

@@ -1,6 +1,7 @@
 """Independent oracles for the walk: slot addressing and the chain's wiring
 from the spec, the one-sub-step operator assembled entry by entry, and the
-plain full-chain sub-step.
+plain full-chain sub-step, which reads the whole chain's tables as
+:func:`dense_tables` materialises them.
 
 The addressing helpers and :func:`wiring` restate the documented layout and
 wiring of :mod:`diamondwalk.lattice` from
@@ -11,8 +12,27 @@ graph: undirected edges are the internal edges ``2d`` (top) and ``2d + 1``
 length, and slot bases are the cumulative sum of the lengths.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
+
+from diamondwalk.lattice import _window
+
+
+def dense_tables(graph) -> SimpleNamespace:
+    """The graph with its whole chain's rows materialised, as ``step`` reads
+    them for the window of every diamond: ``in_slot``, ``out_slot`` and
+    ``port_c_phase`` per vertex, ``slot_cell`` per slot, and the graph's
+    ``spec``, ``dim``, mirrors and ``vertex_matrix``.  They are built on a
+    copy of the graph, whose own memo stays as it was."""
+    _, _, rows = _window(dataclasses.replace(graph), None)
+    return SimpleNamespace(
+        spec=graph.spec, dim=graph.dim, vertex_matrix=graph.vertex_matrix,
+        in_slot=rows.in_slot, out_slot=rows.out_slot, port_c_phase=rows.port_c_phase,
+        slot_cell=np.concatenate((rows.internal_cell, rows.external_cell)),
+        mirror_src=graph.mirror_src, mirror_dst=graph.mirror_dst)
 
 
 def external_edge(spec, j: int) -> int:
@@ -93,6 +113,7 @@ def plain_step(amplitudes: np.ndarray, graph) -> np.ndarray:
     """One sub-step of the whole chain with no window: shift every slot by
     one, then the vertex scatter and the mirrors overwrite the first slot of
     every edge."""
+    graph = dense_tables(graph)
     new = np.empty_like(amplitudes)
     new[1:] = amplitudes[:-1]
     outgoing = amplitudes[graph.in_slot] @ graph.vertex_matrix.T

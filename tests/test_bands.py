@@ -323,6 +323,23 @@ def test_phase_diagram_blocks_fault_in_no_fresh_pages():
     assert int(proc.stdout) < 1000
 
 
+def test_phase_diagram_third_call_stays_within_its_tracemalloc_budget():
+    # numpy reports its buffers to tracemalloc, whatever glibc does with the
+    # heap, so unlike the fault count this does not move with the heap's
+    # layout.  The third 64 x 64 call at n_k 512 peaked at 2,563,817 bytes
+    # (numpy 2.4.6), most of it the lockstep Brent search
+    grid = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    phase_diagram(grid, grid, 512)
+    phase_diagram(grid, grid, 512)
+    tracemalloc.start()
+    try:
+        phase_diagram(grid, grid, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 @pytest.mark.parametrize("n_k,route", [
     *(pytest.param(n_k, "fresh", id=str(n_k)) for n_k in (65, 129, 512, 513)),
     *(pytest.param(n_k, "reused", id=f"{n_k}-reused") for n_k in (65, 129, 512, 513)),

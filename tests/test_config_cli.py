@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -380,6 +381,27 @@ class TestCli:
         payload["regions"] = [{"from": -3, "to": 3, "phi_a": 0.0, "phi_b": 0.0}]
         config = write_config(tmp_path, payload)
         assert main(["walk", "--config", str(config), "--out", str(tmp_path / "w.csv")]) == 3
+
+    def test_walk_chain_too_long_to_allocate_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the build and the audit allocate nothing chain-sized; the state,
+        # 4e16 slots here, is the first allocation that fails
+        half = 10**15
+        payload = dict(FIG5_CONFIG, half_length=half)
+        payload["regions"] = [{"from": -half, "to": half, "phi_a": 0.0, "phi_b": 0.0}]
+        zeros = np.zeros
+
+        def failing_zeros(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e9:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", failing_zeros)
+        out = tmp_path / "w.csv"
+        config = write_config(tmp_path, payload)
+        assert main(["walk", "--config", str(config), "--out", str(out)]) == 2
+        slots = build_lattice(LatticeSpec.uniform(half, 0.0, 0.0)).dim
+        assert f"a state of {slots} slots does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejected_parameter_is_config_error(self, tmp_path, capsys):
         assert main(["bands", "--phi-a", "0", "--phi-b", "1", "--nk", "4",

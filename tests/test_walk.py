@@ -14,10 +14,11 @@ from diamondwalk import (
     initial_state,
     step,
 )
-from diamondwalk import walk
+from diamondwalk import lattice, walk
 from diamondwalk.lattice import _window_cells
 from diamondwalk.walk import WalkState, cell_probabilities
-from step_oracle import assemble_step_operator, directed, external_edge, plain_step, slots
+from step_oracle import (assemble_step_operator, dense_tables, directed, external_edge,
+                         plain_step, slots)
 
 FIG5_LEFT = (1.5, 2.5)
 FIG5_RIGHT = (3 * np.pi / 4, 0.0)
@@ -61,7 +62,7 @@ def test_initial_state_sits_one_substep_before_its_diamond(internal, external):
                 assert np.array_equal(state.amplitudes, expected)
                 after = step(state, g)
                 support = np.flatnonzero(after.amplitudes)
-                assert np.array_equal(support, np.sort(g.out_slot[vertex]))
+                assert np.array_equal(support, np.sort(dense_tables(g).out_slot[vertex]))
 
 
 @pytest.mark.parametrize("cell,subsite", [(5, "a"), (-5, "b")])
@@ -170,10 +171,10 @@ def plain_records(state, graph, n_record):
     after every ``substeps_per_hop`` calls of ``plain_step``, up to record
     ``n_record`` or the first record whose end cells hold over 1e-9; returns
     the rows and the overflow message (None if there was none)."""
-    amplitudes = state.amplitudes
+    amplitudes, slot_cell = state.amplitudes, dense_tables(graph).slot_cell
     rows = []
     while True:
-        rows.append(np.bincount(graph.slot_cell, weights=np.abs(amplitudes) ** 2,
+        rows.append(np.bincount(slot_cell, weights=np.abs(amplitudes) ** 2,
                                 minlength=graph.spec.n_cells))
         leak = rows[-1][0] + rows[-1][-1]
         if leak > 1e-9:
@@ -270,8 +271,16 @@ def test_window_cells_are_the_cells_its_slots_count_toward(internal, external):
     last = g.spec.n_diamonds - 1
     for lo in range(last + 1):
         for hi in range(lo, last + 1):
-            owners = g.slot_cell[window_mask(g.spec, lo, hi)]
+            owners = dense_tables(g).slot_cell[window_mask(g.spec, lo, hi)]
             assert _window_cells(g, (lo, hi)) == (owners.min(), owners.max())
+
+
+def test_window_cells_rejects_a_window_off_the_chain():
+    g = graph_for(4)
+    last = g.spec.n_diamonds - 1
+    for lo, hi in ((-1, 3), (5, 4), (2, last + 1), (np.array([0, -1]), np.array([3, 3]))):
+        with pytest.raises(ValueError, match="not within diamonds"):
+            _window_cells(g, (lo, hi))
 
 
 def assert_zero_outside_cell_span(obs):
@@ -360,7 +369,7 @@ def test_windowed_evolve_matches_plain_walk_from_full_support(internal, external
     half = 30
     g = graph_for(LatticeSpec.two_region(half, FIG5_LEFT, FIG5_RIGHT), internal, external)
     rng = np.random.default_rng(2017)
-    envelope = np.exp(-0.5 * ((g.slot_cell - half) / 4.0) ** 2)
+    envelope = np.exp(-0.5 * ((dense_tables(g).slot_cell - half) / 4.0) ** 2)
     amplitudes = (rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim)) * envelope
     state = WalkState(amplitudes=amplitudes / np.linalg.norm(amplitudes))
     assert np.all(state.amplitudes != 0)
@@ -398,7 +407,7 @@ def test_windowed_evolve_is_exact_from_every_phase_of_a_hop(internal, external):
                 amplitudes[slot] = 1.0
                 assert_evolve_matches_plain(WalkState(amplitudes=amplitudes), g, 6)
     rng = np.random.default_rng(2017)
-    support = np.abs(g.slot_cell - half) <= 1  # cells -1..1
+    support = np.abs(dense_tables(g).slot_cell - half) <= 1  # cells -1..1
     amplitudes = np.where(support, rng.normal(size=g.dim) + 1j * rng.normal(size=g.dim), 0)
     assert_evolve_matches_plain(WalkState(amplitudes=amplitudes / np.linalg.norm(amplitudes)),
                                 g, 6)
@@ -443,7 +452,7 @@ def test_evolve_rejects_a_zero_or_non_finite_state_before_allocating(value):
     g = graph_for(1500)
     amplitudes = np.zeros(g.dim, dtype=complex)
     if value is not None:
-        amplitudes[g.in_slot[0, 0]] = 1.0
+        amplitudes[g.in_template[0, 0]] = 1.0
         amplitudes[-1] = value
     tracemalloc.start()
     try:
@@ -668,3 +677,59 @@ def test_uniform_walk_drifts_forward():
     obs = evolve(initial_state(g, 0, "a", "right"), g, 60)
     assert obs.mean[-1] > 5.0  # strong forward bias of the quarter-wave vertex
     assert obs.sigma[-1] > obs.sigma[10]
+
+
+def test_a_walk_reads_the_same_rows_through_a_wider_or_disjoint_memo():
+    # the graph's memo of rows is only a cache: a walk on a graph whose memo
+    # already holds the whole chain, or only diamonds the walk never reaches,
+    # gives a fresh graph's records bit for bit
+    spec = LatticeSpec.two_region(60, FIG5_LEFT, FIG5_RIGHT, boundary=3)
+    fresh, wider, disjoint = (build_lattice(spec) for _ in range(3))
+    want = evolve(initial_state(fresh, 0, "a", "right"), fresh, 40)
+    step(initial_state(wider, 0, "a", "right"), wider)  # the whole chain's window
+    assert (wider._memo.lo, wider._memo.hi) == (0, spec.n_diamonds - 1)
+    evolve(initial_state(disjoint, -45, "b", "left"), disjoint, 8)
+    assert disjoint._memo.hi < fresh._memo.lo
+    for g in (wider, disjoint):
+        obs = evolve(initial_state(g, 0, "a", "right"), g, 40)
+        for name in ("p_span", "cell_span", "mean", "sigma", "p_boundary"):
+            assert getattr(obs, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_replaced_graph_starts_with_an_empty_memo():
+    g = graph_for(5)
+    step(initial_state(g, 0, "a", "right"), g)
+    assert g._memo is not None
+    assert dataclasses.replace(g)._memo is None
+    assert dataclasses.replace(g, mirror_src=g.mirror_src[::-1].copy())._memo is None
+
+
+def test_the_memo_builds_only_the_windows_it_does_not_hold(monkeypatch):
+    g = graph_for(LatticeSpec.two_region(40, FIG5_LEFT, FIG5_RIGHT, boundary=-20))
+    last = g.spec.n_diamonds - 1
+    built, build = [], lattice._rows
+    monkeypatch.setattr(lattice, "_rows",
+                        lambda graph, lo, hi: built.append((lo, hi)) or build(graph, lo, hi))
+    state = initial_state(g, -20, "b", "right")
+    d = g.spec.diamond_index(-20, "b")
+    # a window past either end of the memo, or apart from it, builds its own rows
+    for window in ((d - 5, d + 5), (d - 8, d + 2), (d - 4, d + 9), (0, 3), (last - 3, last)):
+        built.clear()
+        step(state, g, window=window)
+        assert built == [window] and (g._memo.lo, g._memo.hi) == window
+    # a window the memo holds builds nothing, and asked for again, the same
+    # window is served the same views
+    built.clear()
+    window = (last - 2, last - 1)
+    step(state, g, window=window)
+    assert not built
+    assert lattice._window(g, window)[2] is lattice._window(g, window)[2]
+
+
+def test_the_memo_after_a_long_chain_walk_covers_at_most_twice_the_final_window():
+    g = boundary_graph(350_000)
+    evolve(initial_state(g, 0, "a", "right"), g, 200)
+    d = g.spec.diamond_index(0, "a")
+    final = (d - 200, d + 1 + 200)
+    assert g._memo.lo <= final[0] and final[1] <= g._memo.hi
+    assert g._memo.hi - g._memo.lo + 1 <= 2 * (final[1] - final[0] + 1)
