@@ -72,10 +72,10 @@ __all__ = [
 SUBSITES = ("a", "b")
 
 
-def _cell_bound(value, region) -> int:
-    """A region bound as an int: an integer (numpy's too) or an integral float
-    such as ``8.0``; anything else, a bool or a string included, raises
-    :class:`ValueError` naming the region."""
+def _integral(value, what: str) -> int:
+    """``value`` as an int: an integer (numpy's too) or an integral float such
+    as ``8.0``; anything else, a bool or a string included, raises
+    :class:`ValueError` that says ``what`` has that value."""
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     if not isinstance(value, bool):
@@ -83,8 +83,7 @@ def _cell_bound(value, region) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"region {tuple(region)!r} has a bound {value!r} that is not an "
-                     "integral number")
+    raise ValueError(f"{what} {value!r} that is not an integral number")
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,9 @@ class LatticeSpec:
 
     ``regions`` is a sequence of ``(m_from, m_to, phi_a, phi_b)`` with inclusive
     cell ranges.  They must be disjoint and together cover cells -M..M, which is
-    checked when the spec is built; one may reach past a chain end.
+    checked when the spec is built; one may reach past a chain end.  The sizes
+    and the region bounds are integers or integral floats, stored as ``int``;
+    anything else raises :class:`ValueError` naming the field.
     """
 
     half_length: int
@@ -103,6 +104,8 @@ class LatticeSpec:
     external_length: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("half_length", "internal_length", "external_length"):
+            object.__setattr__(self, name, _integral(getattr(self, name), f"{name} has a value"))
         if self.half_length < 1:
             raise ValueError("half_length must be >= 1")
         if self.internal_length < 1 or self.external_length < 1:
@@ -110,8 +113,9 @@ class LatticeSpec:
         if not self.regions:
             raise ValueError("profile needs at least one region")
         norm = tuple(
-            (_cell_bound(lo, region), _cell_bound(hi, region), float(pa), float(pb))
+            (_integral(lo, what), _integral(hi, what), float(pa), float(pb))
             for region in self.regions for lo, hi, pa, pb in [region]
+            for what in [f"region {tuple(region)!r} has a bound"]
         )
         object.__setattr__(self, "regions", norm)
         for lo, hi, pa, pb in norm:
@@ -369,6 +373,15 @@ def _reverse_ends(spec: LatticeSpec, starts: np.ndarray) -> np.ndarray:
     return np.where(pos != 0, -1, offset + (edge ^ 1) * length + length - 1)
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of ``values``, as ``np.unique`` returns them;
+    ``np.unique`` imports ``numpy.ma`` (about 8 ms) on its first plain call."""
+    ordered = np.sort(values, axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _step_table_violations(graph: LatticeGraph) -> list[str]:
     """The step-table checks of :func:`audit_graph`, in its order."""
     spec, dim, base = graph.spec, graph.dim, _n_internal(graph.spec)
@@ -400,12 +413,12 @@ def _step_table_violations(graph: LatticeGraph) -> list[str]:
     # that no mirror slot touches.  Only the rows of diamonds next to those
     # windows read or write their slots and the slot before each.
     near = _lowest(spec, mirrors)[:, None] + [-1, 0, 1, 2]
-    sampled = np.unique(np.concatenate(([0, n_diamonds - 1], near.ravel())))
+    sampled = _distinct(np.concatenate(([0, n_diamonds - 1], near.ravel())))
     sampled = sampled[(sampled >= 0) & (sampled < n_diamonds)]
-    slots = np.unique(np.concatenate(
+    slots = _distinct(np.concatenate(
         ((sampled[:, None] * 4 * internal + np.arange(4 * internal)).ravel(),
          (base + sampled[:, None] * 2 * external + np.arange(4 * external)).ravel())))
-    readers = np.unique((sampled[:, None] + [-2, -1, 0, 1]).ravel())
+    readers = _distinct((sampled[:, None] + [-2, -1, 0, 1]).ravel())
     shift = readers[(readers >= 0) & (readers < n_diamonds), None, None] * graph.stride
     ends = np.sort(np.concatenate(((graph.in_template + shift).ravel(), graph.mirror_src)))
     starts = np.sort(np.concatenate(((graph.out_template + shift).ravel(), graph.mirror_dst)))
@@ -456,7 +469,8 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
     meets = [lo <= spec.half_length and hi >= -spec.half_length for lo, hi, _, _ in spec.regions]
     if not (graph.region_phases.shape == expected.shape
             and np.array_equal(graph.region_phases[meets], expected[meets])):
-        violations.append("port_c_phase differs from the phase of each vertex's diamond")
+        violations.append("region_phases differs from exp(i phi) of the spec regions that "
+                          "meet the chain")
     counts = {"cells": spec.n_cells, "diamonds": n_diamonds, "vertices": 2 * n_diamonds,
               "internal_edges": 2 * n_diamonds, "external_edges": n_diamonds + 1,
               "directed_edges": 2 * (3 * n_diamonds + 1), "slots": graph.dim}

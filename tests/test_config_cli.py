@@ -17,6 +17,7 @@ from diamondwalk import (
 )
 from diamondwalk.cli import main
 from diamondwalk.config import CONFIG_SCHEMA
+from test_golden import README_WALK_CONFIG
 
 FIG5_CONFIG = {
     "half_length": 8,
@@ -440,6 +441,41 @@ def test_importing_the_cli_loads_no_test_only_package(root):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# numpy loads some modules on first use: np.unique, called without return_index,
+# return_inverse or return_counts, imports numpy.ma (about 8 ms) on its first call
+def test_no_command_imports_a_module_after_the_cli_and_its_parser(tmp_path):
+    config = write_config(tmp_path, README_WALK_CONFIG)
+    commands = [
+        ["scatter", "--phi", "1.5", "--k", "1.0", "--out", f"{tmp_path}/scatter.json"],
+        ["bands", "--phi-a", "0", "--phi-b", "0.5", "--nk", "64", "--out", f"{tmp_path}/bands.csv"],
+        ["winding", "--phi-a", "1.5", "--phi-b", "2.5", "--out", f"{tmp_path}/winding.json"],
+        ["sweep", "--grid", "3", "--nk", "64", "--out", f"{tmp_path}/sweep.csv"],
+        ["repro", "fig4", "--nk", "64", "--out", f"{tmp_path}/fig4"],
+        ["repro", "fig5", "--steps", "50", "--out", f"{tmp_path}/fig5"],
+        ["walk", "--config", str(config), "--out", f"{tmp_path}/walk.csv",
+         "--summary", f"{tmp_path}/walk_summary.json"],
+        ["calibrate"],
+    ]
+    code = (
+        "import json, sys, diamondwalk.cli as cli; cli.build_parser()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    before = set(sys.modules)\n"
+        "    status = cli.main(argv)\n"
+        "    print(json.dumps([argv[0], status, sorted(set(sys.modules) - before)]))\n"
+    )
+    src = str(Path(diamondwalk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert [command for command, _, _ in ran] == [argv[0] for argv in commands]
+    for command, status, loaded in ran:
+        assert status == 0, (command, proc.stderr)
+        assert loaded == [], f"{command} imported {loaded}"
 
 
 def _random_mutation(doc, rng):

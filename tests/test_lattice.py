@@ -10,6 +10,7 @@ from diamondwalk import (
     audit_graph,
     build_lattice,
 )
+from diamondwalk.lattice import _distinct
 from audit_oracle import step_table_violations
 from step_oracle import dense_tables, directed, external_edge, slots, wiring
 
@@ -190,6 +191,20 @@ def test_spec_normalises_its_regions():
     assert spec.regions == ((-1, 1, 0.0, 1.0),)
     assert [type(v) for v in spec.regions[0]] == [int, int, float, float]
     assert spec == LatticeSpec.uniform(1, 0.0, 1.0)
+    sized = LatticeSpec(np.int64(1), spec.regions, 2.0, np.uint8(1))
+    assert sized == spec
+    assert [type(v) for v in (sized.half_length, sized.internal_length,
+                              sized.external_length)] == [int, int, int]
+
+
+@pytest.mark.parametrize("field", ["half_length", "internal_length", "external_length"])
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, float("nan")])
+def test_spec_refuses_a_size_that_is_not_an_integral_number(field, bad):
+    # before the range checks: 2.5 would otherwise pass them and fail in numpy
+    sizes = {"half_length": 3, "internal_length": 2, "external_length": 1, field: bad}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} has a value {bad!r} that is not an integral number")):
+        LatticeSpec(regions=((-3, 3, 0.0, 0.0),), **sizes)
 
 
 @pytest.mark.parametrize("lo,hi", [(-3.0, 3.0), (np.int32(-3), np.int64(3)),
@@ -209,6 +224,17 @@ def test_spec_refuses_a_bound_that_is_not_an_integral_number(lo, hi, bad):
     with pytest.raises(ValueError, match=re.escape(
             f"region {region!r} has a bound {bad} that is not an integral number")):
         LatticeSpec(3, (region,))
+
+
+def test_distinct_equals_np_unique():
+    rng = np.random.default_rng(7)
+    cases = [rng.integers(-20, 20, size=n) for n in (2, 7, 50, 300)]
+    cases += [np.array([], dtype=np.int64), np.array([5]), np.full(9, -3),
+              np.arange(-4, 12), np.arange(6).repeat(3), np.array([[3, 1], [1, -2]])]
+    for values in cases:
+        want, got = np.unique(values), _distinct(values)
+        assert got.dtype == want.dtype and got.shape == want.shape, values
+        assert np.array_equal(got, want), values
 
 
 def test_profile_rejects_an_empty_region_list():
@@ -340,7 +366,7 @@ def test_audit_flags_corrupted_step_tables(internal, external):
 def test_audit_flags_a_wrong_output_phase(internal, external):
     g = build_lattice(with_lengths(LatticeSpec.two_region(2, *FIG5_PAIRS, boundary=0),
                                    internal, external))
-    message = ("port_c_phase differs from the phase of each vertex's diamond",)
+    message = ("region_phases differs from exp(i phi) of the spec regions that meet the chain",)
     region_phases = g.region_phases.copy()
     region_phases[1, 0] = 2.0  # not the phase of the right region's a, nor unimodular
     assert audit_graph(dataclasses.replace(g, region_phases=region_phases)).violations == message
