@@ -13,8 +13,8 @@ enlarging the state space.
 One frozen :class:`LatticeSpec` describes the chain, e.g.
 ``LatticeSpec.two_region(half, left, right)`` for two phase regions that meet
 at a boundary state; it refuses regions that leave a cell uncovered when it is
-built.  Neither it nor the built :class:`LatticeGraph` holds anything
-chain-sized.
+built.  The built :class:`LatticeGraph` adds only what the spec does not fix,
+diamond 0's wiring and the mirrors; neither holds anything chain-sized.
 
 Indexing is fully deterministic:
 
@@ -39,9 +39,10 @@ Indexing is fully deterministic:
 This layout is the one wiring model, not an implementation detail: the walk's
 free propagation is a shift by one slot; every diamond is wired alike, so
 :func:`build_lattice` reads diamond 0's wiring off these views and each other
-diamond's is the same moved by whole diamonds (``4 L_int`` slots on an
-internal edge, ``2 L_ext`` on an external one); and the tests' oracle
-(``tests/step_oracle.py``) restates the wiring from the spec alone.
+diamond's is the same moved by whole diamonds, the period :func:`_stride`
+(``4 L_int`` slots on an internal edge, ``2 L_ext`` on an external one); and
+the tests' oracle (``tests/step_oracle.py``) restates the wiring from the
+spec alone.
 
 Ports follow the (A, B, C) -> (0, 1, 2) convention: port A faces the external
 edge, ports B and C the top and bottom internal edges.
@@ -164,9 +165,11 @@ class LatticeSpec:
 
     def diamond_index(self, cell: int, subsite: str) -> int:
         """Diamond ``d = 2*(cell + M) + s`` of the named subsite; raises
-        :class:`ValueError` for a cell outside ``-M..M`` or an unknown subsite."""
+        :class:`ValueError` for an unknown subsite, a cell that is not an
+        integral number or one outside ``-M..M``."""
         if subsite not in SUBSITES:
             raise ValueError(f"subsite must be one of {SUBSITES}, got {subsite!r}")
+        cell = _integral(cell, "cell has a value")
         if not -self.half_length <= cell <= self.half_length:
             raise ValueError(
                 f"cell {cell} outside [-{self.half_length}, {self.half_length}]"
@@ -193,13 +196,14 @@ class LatticeGraph:
     """The built chain: diamond 0's wiring, which every diamond repeats.
 
     Vertex ``2d + side`` (side 0 the left vertex) reads, per port (A, B, C),
-    the slots ``in_template[side] + d * stride`` and writes
-    ``out_template[side] + d * stride``: the last slot of an edge, and the
-    first of the same edge traversed back, as the mirrors do; the walk
+    the slots ``in_template[side] + d * _stride(spec)`` and writes
+    ``out_template[side] + d * _stride(spec)``: the last slot of an edge, and
+    the first of the same edge traversed back, as the mirrors do; the walk
     shifts every other slot by one.  Port C enters the bottom edge, whose
-    phase is ``region_phases[i, s]``, ``exp(i phi)`` of subsite ``s`` in
-    ``spec.regions[i]``.  The spec gives the cells ``-M..M`` and numbers the
-    diamonds; ``dim`` is the state's slots.
+    phase is ``exp(i phi)`` of the diamond's subsite in the region of
+    ``spec.regions`` that holds its cell.  The spec gives the cells
+    ``-M..M``, numbers the diamonds and fixes the period; ``dim`` is the
+    state's slots.
 
     Nothing in it is chain-sized: :func:`_window` builds the rows of the
     diamonds a walk reaches into the graph's memo.  The fields cannot be
@@ -213,10 +217,8 @@ class LatticeGraph:
     vertex_matrix: np.ndarray  # the 3x3 DEFAULT_THETA unitary every vertex shares
     in_template: np.ndarray  # (2, 3) the in_slot rows of diamond 0's vertices
     out_template: np.ndarray  # (2, 3) their out_slot rows
-    stride: np.ndarray  # (3,) slots a port's edge moves per diamond, (2 L_ext, 4 L_int, 4 L_int)
     mirror_src: np.ndarray  # (2,) last slots running into the left and right mirror
     mirror_dst: np.ndarray  # (2,) first slots they reflect into
-    region_phases: np.ndarray  # (regions, 2) exp(i phi_a), exp(i phi_b) per spec region
     _memo: _Rows | None = field(default=None, init=False, repr=False, compare=False)
     _served: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -230,29 +232,47 @@ def _n_internal(spec: LatticeSpec) -> int:
     return 4 * spec.n_diamonds * spec.internal_length
 
 
+def _stride(spec: LatticeSpec) -> np.ndarray:
+    """The period: the slots the edge of each port (A, B, C) moves per
+    diamond, ``(2 L_ext, 4 L_int, 4 L_int)``."""
+    return np.array([2 * spec.external_length, 4 * spec.internal_length,
+                     4 * spec.internal_length])
+
+
+def _slot_cells(spec: LatticeSpec, slots: np.ndarray) -> np.ndarray:
+    """The cell each of ``slots`` (an int array) counts toward.
+
+    Amplitude in a diamond belongs to its cell, and in a gap to the diamond
+    it is about to collide with (left-movers to the left neighbour), the only
+    single-valued rule that puts an injected photon wholly in its subsite's
+    cell and keeps P(m, t) exactly mirror symmetric.  At a mirror stub the
+    amplitude counts toward the end diamond."""
+    base = _n_internal(spec)
+    edge, left = np.divmod((slots - base) // spec.external_length, 2)  # external edge, direction
+    ahead = np.where(left == 1, np.maximum(edge - 1, 0), np.minimum(edge, spec.n_diamonds - 1))
+    return np.where(slots >= base, ahead, slots // (4 * spec.internal_length)) // 2
+
+
 def _rows(graph: LatticeGraph, lo: int, hi: int) -> _Rows:
-    """The rows of diamonds ``lo .. hi``, read-only: template rows moved by strides."""
+    """The rows of diamonds ``lo .. hi``, read-only: template rows moved by the period."""
     spec = graph.spec
-    diamonds = np.arange(lo, hi + 1)
-    shift = diamonds[:, None, None] * graph.stride
+    shift = np.arange(lo, hi + 1)[:, None, None] * _stride(spec)
     # one phase per cell and subsite of the range; the spec covers each cell
     half, first = spec.half_length, lo // 2
     table = np.empty((hi // 2 - first + 1, 2), dtype=complex)
-    for (r_lo, r_hi, _, _), phase in zip(spec.regions, graph.region_phases):
+    # one exp per region and subsite: an element's bits do not depend on the
+    # array it is exponentiated in
+    phases = np.exp(1j * np.array([region[2:] for region in spec.regions]))
+    for (r_lo, r_hi, _, _), phase in zip(spec.regions, phases):
         # clipped: a region outside the range writes no row
         table[max(r_lo + half - first, 0):max(r_hi + half + 1 - first, 0)] = phase
-    # Cell attribution: amplitude in a diamond belongs to its cell, and in a
-    # gap to the diamond it is about to collide with (left-movers to the left
-    # neighbour), the only single-valued rule that puts an injected photon
-    # wholly in its subsite's cell and keeps P(m, t) exactly mirror symmetric.
-    # At a mirror stub the amplitude counts toward the end diamond.
-    edge = np.arange(lo, hi + 2)
-    external_cell = np.stack((np.minimum(edge, spec.n_diamonds - 1), np.maximum(edge - 1, 0)), 1)
+    internal, external, base = spec.internal_length, spec.external_length, _n_internal(spec)
     rows = _Rows(lo, hi, (graph.in_template + shift).reshape(-1, 3),
                  (graph.out_template + shift).reshape(-1, 3),
                  table.ravel()[lo - 2 * first : hi + 1 - 2 * first].repeat(2),
-                 (diamonds // 2).repeat(4 * spec.internal_length),
-                 (external_cell // 2).repeat(spec.external_length))
+                 _slot_cells(spec, np.arange(4 * lo * internal, 4 * (hi + 1) * internal)),
+                 _slot_cells(spec, np.arange(base + 2 * lo * external,
+                                             base + 2 * (hi + 2) * external)))
     for arr in rows[2:]:
         arr.setflags(write=False)
     return rows
@@ -264,10 +284,11 @@ def _window(graph: LatticeGraph,
     rows ``lo .. hi`` of the internal view and rows ``lo .. hi + 1`` of the
     external view, each a contiguous range of the state, and their
     :class:`_Rows`, views of the graph's memo.  A window outside the memo
-    replaces it with the window's own rows: ``evolve`` asks first for its
-    final window, which holds every later one.  The last window served is
-    kept with its views: a walk asks for each window several times.  Raises
-    :class:`ValueError` unless ``0 <= lo <= hi <= n_diamonds - 1``."""
+    replaces it with the window's own rows: ``evolve`` asks for its final
+    window before its first record, and that holds every later one.  The
+    last window served is kept with its views: a walk asks for each window
+    several times.  Raises :class:`ValueError` unless
+    ``0 <= lo <= hi <= n_diamonds - 1``."""
     spec = graph.spec
     lo, hi = (0, spec.n_diamonds - 1) if window is None else map(operator.index, window)
     served = graph._served
@@ -299,18 +320,6 @@ def _lowest(spec: LatticeSpec, slots: np.ndarray) -> np.ndarray:
                     slots // (4 * spec.internal_length))
 
 
-def _slot_cells(graph: LatticeGraph, slots: np.ndarray) -> np.ndarray:
-    """The cell each of ``slots`` (an int array) counts toward, read through
-    :func:`_window` over the diamonds whose windows hold them."""
-    spec = graph.spec
-    internal, external, base = spec.internal_length, spec.external_length, _n_internal(spec)
-    outer, holder = slots >= base, np.maximum(_lowest(spec, slots), 0)
-    lo = int(holder.min())
-    rows = _window(graph, (lo, int(holder.max())))[2]
-    return np.where(outer, rows.external_cell[np.where(outer, slots - base - 2 * lo * external, 0)],
-                    rows.internal_cell[np.where(outer, 0, slots - 4 * lo * internal)])
-
-
 def _window_cells(graph: LatticeGraph, window: tuple) -> tuple:
     """First and last cell the slots of ``window`` count toward: those of the
     outermost, left-moving on external edge ``lo`` and right-moving on edge
@@ -321,14 +330,14 @@ def _window_cells(graph: LatticeGraph, window: tuple) -> tuple:
     if not np.all((0 <= lo) & (lo <= hi) & (hi <= last)):
         raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
     length, base = graph.spec.external_length, _n_internal(graph.spec)
-    return tuple(_slot_cells(graph, np.stack((base + (2 * lo + 1) * length,
-                                              base + (2 * hi + 2) * length))))
+    return tuple(_slot_cells(graph.spec, np.stack((base + (2 * lo + 1) * length,
+                                                   base + (2 * hi + 2) * length))))
 
 
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
-    """Describe the chain of ``spec`` by diamond 0's wiring, the strides that
-    repeat it, the mirrors and each region's phases: a few small arrays at
-    any chain length.  Rebuilding from an equal spec yields identical arrays."""
+    """Describe the chain of ``spec`` by diamond 0's wiring, which the
+    spec's period repeats, and the mirrors: a few small arrays at any chain
+    length.  Rebuilding from an equal spec yields identical arrays."""
     internal, external, n_diamonds = spec.internal_length, spec.external_length, spec.n_diamonds
     # diamond 0's internal edges and external edges 0 and 1, and the stub n_d
     inner = np.arange(4 * internal).reshape(2, 2, internal)
@@ -343,12 +352,8 @@ def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     # end of the right stub, each reflected into the opposite direction.
     tables = dict(in_template=np.column_stack((outer[[0, 1], [0, 1], -1], inner[:, ::-1, -1].T)),
                   out_template=np.column_stack((outer[[0, 1], [1, 0], 0], inner[:, :, 0].T)),
-                  stride=np.array([2 * external, 4 * internal, 4 * internal]),
                   mirror_src=np.array([outer[0, 1, -1], stub[0, -1]]),
-                  mirror_dst=np.array([outer[0, 0, 0], stub[1, 0]]),
-                  # one exp per region and subsite: an element's bits do not
-                  # depend on the array it is exponentiated in
-                  region_phases=np.exp(1j * np.array([region[2:] for region in spec.regions])))
+                  mirror_dst=np.array([outer[0, 0, 0], stub[1, 0]]))
     for arr in tables.values():
         arr.setflags(write=False)
     return LatticeGraph(spec=spec, vertex_matrix=vertex_unitary(DEFAULT_THETA), **tables)
@@ -386,22 +391,20 @@ def _step_table_violations(graph: LatticeGraph) -> list[str]:
     """The step-table checks of :func:`audit_graph`, in its order."""
     spec, dim, base = graph.spec, graph.dim, _n_internal(graph.spec)
     n_diamonds, internal, external = spec.n_diamonds, spec.internal_length, spec.external_length
-    templates = (graph.in_template, graph.out_template)
+    templates, stride = (graph.in_template, graph.out_template), _stride(spec)
     period = ["a vertex is not wired as diamond 0's, moved onto its own diamond's edges"]
-    if ([t.shape for t in (*templates, graph.stride, graph.mirror_src, graph.mirror_dst)]
-            != [(2, 3), (2, 3), (3,), (2,), (2,)]):
+    if ([t.shape for t in (*templates, graph.mirror_src, graph.mirror_dst)]
+            != [(2, 3), (2, 3), (2,), (2,)]):
         return period  # every check below relies on these shapes
     mirrors = np.concatenate((graph.mirror_src, graph.mirror_dst))
     # an entry is affine in the diamond: it lies between diamond 0's and the last's
-    entries = np.concatenate([*templates, *(t + (n_diamonds - 1) * graph.stride
-                                            for t in templates)])
+    entries = np.concatenate([*templates, *(t + (n_diamonds - 1) * stride for t in templates)])
     if min(entries.min(), mirrors.min()) < 0 or max(entries.max(), mirrors.max()) >= dim:
         return ["step slot tables point outside the state"]
-    # port A on external edges 0 and 1, ports B and C on diamond 0's edges
+    # port A on external edges 0 and 1 (two periods), ports B and C on
+    # diamond 0's edges (one)
     own_lo = np.array([base, 0, 0])
-    own_hi = own_lo + [4 * external, 4 * internal, 4 * internal]
-    if not (np.array_equal(graph.stride, [2 * external, 4 * internal, 4 * internal])
-            and all(np.all((own_lo <= t) & (t < own_hi)) for t in templates)):
+    if not all(np.all((own_lo <= t) & (t < own_lo + [2, 1, 1] * stride)) for t in templates):
         return period
 
     # So all diamonds' internal edges, and all external edges between two
@@ -419,7 +422,7 @@ def _step_table_violations(graph: LatticeGraph) -> list[str]:
         ((sampled[:, None] * 4 * internal + np.arange(4 * internal)).ravel(),
          (base + sampled[:, None] * 2 * external + np.arange(4 * external)).ravel())))
     readers = _distinct((sampled[:, None] + [-2, -1, 0, 1]).ravel())
-    shift = readers[(readers >= 0) & (readers < n_diamonds), None, None] * graph.stride
+    shift = readers[(readers >= 0) & (readers < n_diamonds), None, None] * stride
     ends = np.sort(np.concatenate(((graph.in_template + shift).ravel(), graph.mirror_src)))
     starts = np.sort(np.concatenate(((graph.out_template + shift).ravel(), graph.mirror_dst)))
 
@@ -456,21 +459,13 @@ def audit_graph(graph: LatticeGraph) -> AuditReport:
     starts, the last slot is an end, and the shift from a non-end at s - 1
     or a start writes each slot once) and local (each vertex port or mirror
     reads the last slot of the edge it writes, traversed back, within its
-    diamond's window), on the few windows that stand for all; and that each
-    region meeting the chain has its ``exp(i phi)`` phases.  Returns the
-    spec's counts and the violations; none for an intact graph.  Its work
-    and memory do not grow with the chain.
+    diamond's window), on the few windows that stand for all.  The period
+    and the phases are the spec's, which the graph does not restate.
+    Returns the spec's counts and the violations; none for an intact graph.
+    Its work and memory do not grow with the chain.
     """
     spec, n_diamonds = graph.spec, graph.spec.n_diamonds
     violations = _step_table_violations(graph)
-    # port C enters the bottom edge, whose phase is its region's exp(i phi);
-    # a region wholly outside the chain holds no vertex
-    expected = np.exp(1j * np.array([region[2:] for region in spec.regions]))
-    meets = [lo <= spec.half_length and hi >= -spec.half_length for lo, hi, _, _ in spec.regions]
-    if not (graph.region_phases.shape == expected.shape
-            and np.array_equal(graph.region_phases[meets], expected[meets])):
-        violations.append("region_phases differs from exp(i phi) of the spec regions that "
-                          "meet the chain")
     counts = {"cells": spec.n_cells, "diamonds": n_diamonds, "vertices": 2 * n_diamonds,
               "internal_edges": 2 * n_diamonds, "external_edges": n_diamonds + 1,
               "directed_edges": 2 * (3 * n_diamonds + 1), "slots": graph.dim}

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGraph, _slot_cells, _window, _window_cells
+from .lattice import LatticeGraph, _integral, _slot_cells, _stride, _window, _window_cells
 
 __all__ = [
     "LightConeOverflow",
@@ -110,13 +110,15 @@ def initial_state(graph: LatticeGraph, cell: int, subsite: str, direction: str) 
     the diamond's left, ``'left'`` a left-moving photon on the edge to its
     right; either way the amplitude sits one sub-step before its first
     collision with that diamond, in the slot that feeds port A of the
-    diamond's left vertex (``2d``) or right vertex (``2d + 1``).
+    diamond's left vertex (``2d``) or right vertex (``2d + 1``).  Raises
+    :class:`ValueError`, before allocating the state, for another direction
+    or for a cell or subsite that :meth:`LatticeSpec.diamond_index` refuses.
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     d = graph.spec.diamond_index(cell, subsite)  # validates cell and subsite
     amplitudes = np.zeros(graph.dim, dtype=complex)
-    amplitudes[_window(graph, (d, d))[2].in_slot[int(direction == "left"), 0]] = 1.0
+    amplitudes[graph.in_template[int(direction == "left"), 0] + d * _stride(graph.spec)[0]] = 1.0
     return WalkState(amplitudes=amplitudes)
 
 
@@ -220,20 +222,23 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     time (``graph.spec.substeps_per_hop`` sub-steps).  Each sub-step advances
     only the light-cone window: the diamonds of the cells holding the input's
     nonzero amplitude, grown by one diamond on each side per record up to the
-    whole chain.  The input state is not modified.  Raises :class:`ValueError` for
-    a state with no nonzero amplitude or a NaN or infinite one, and
-    :class:`LightConeOverflow` as soon as more than 1e-9 probability reaches
-    either end cell, since then the mirror terminations are no longer
-    unobservable.  Holds each record's span of cell probabilities (its
-    ``cell_span``, outside which every cell is exactly zero), two state-sized
-    buffers and the graph's rows of the final window, so its memory scales
-    with ``dim + records × span``, not with ``records × n_cells``.  Both buffers
+    whole chain.  The input state is not modified.  Raises :class:`ValueError`
+    for an ``n_record`` that is not an integral number (before any
+    allocation) or is negative, or for a state with no nonzero amplitude or a
+    NaN or infinite one, and :class:`LightConeOverflow` as soon as more than
+    1e-9 probability reaches either end cell, since then the mirror
+    terminations are no longer unobservable.  Holds each record's span of
+    cell probabilities (its ``cell_span``, outside which every cell is exactly
+    zero), two state-sized buffers and the graph's rows of the final window,
+    built once before the first record, so its memory scales with
+    ``dim + records × span``, not with ``records × n_cells``.  Both buffers
     come zeroed from the allocator and only the window's slots are copied into
     or stepped, so of their pages only those the light cone reaches are
     faulted in.  Each record's moments are summed over the node of numpy's
     pairwise summation tree that holds its span (see :func:`_sum_node`), not
     over the whole row, with the full row's bits.
     """
+    n_record = _integral(n_record, "n_record has a value")
     if n_record < 0:
         raise ValueError("n_record must be >= 0")
     _check_state(state, graph)
@@ -256,13 +261,14 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # are copied.  Both buffers stay zero outside the window: a windowed step
     # rewrites every slot of the window, and the window never shrinks.
     last = graph.spec.n_diamonds - 1
-    occupied = _slot_cells(graph, nonzero)
+    occupied = _slot_cells(graph.spec, nonzero)
     lo, hi = 2 * int(occupied.min()), 2 * int(occupied.max()) + 1
     n_rows = n_record + 1
 
     def window_at(r: int) -> tuple[int, int]:
         return max(lo - r, 0), min(hi + r, last)
 
+    _window(graph, window_at(n_record))  # the one row build: it holds every earlier window
     grown = np.arange(n_rows)
     cell_span = np.stack(_window_cells(graph, (np.maximum(lo - grown, 0),
                                                np.minimum(hi + grown, last))), axis=1)

@@ -619,6 +619,36 @@ def test_evolve_rejects_a_negative_record_count():
         evolve(initial_state(g, 0, "a", "right"), g, -1)
 
 
+@pytest.mark.parametrize("name", ["n_record", "cell"])
+@pytest.mark.parametrize("bad", [True, 2.5, "3", None, float("nan")])
+def test_a_count_or_cell_that_is_not_an_integral_number_fails_before_allocating(name, bad):
+    # True would run one record or inject at cell 1, 2.5 fail deep in numpy;
+    # the check comes before the state's nonzero scan or the state
+    g = graph_for(1500)
+    state = initial_state(g, 0, "a", "right")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} has a value {bad!r} that is not an integral number")):
+            if name == "n_record":
+                evolve(state, g, bad)
+            else:
+                initial_state(g, bad, "a", "right")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.dim // 2, peak  # a bool per slot, the scan's size
+
+
+def test_an_integral_float_or_numpy_count_and_cell_are_their_ints():
+    g = graph_for(5)
+    want = evolve(initial_state(g, 1, "b", "left"), g, 3)
+    for cell, n_record in ((1.0, 3.0), (np.int32(1), np.uint8(3))):
+        obs = evolve(initial_state(g, cell, "b", "left"), g, n_record)
+        assert obs.records.tolist() == [0, 1, 2, 3]
+        assert obs.p_span.tobytes() == want.p_span.tobytes()
+
+
 def test_evolve_norm_and_positivity():
     g = boundary_graph(20)
     obs = evolve(initial_state(g, 0, "a", "right"), g, 35)
@@ -724,6 +754,23 @@ def test_the_memo_builds_only_the_windows_it_does_not_hold(monkeypatch):
     step(state, g, window=window)
     assert not built
     assert lattice._window(g, window)[2] is lattice._window(g, window)[2]
+
+
+def test_each_walk_builds_its_rows_once(monkeypatch):
+    # initial_state reads its slot off diamond 0's wiring and the period, the
+    # cell rule is arithmetic, and evolve builds the rows of its final window,
+    # which hold every earlier one, before its first record
+    half = auto_half_length(200)
+    g = boundary_graph(half)
+    built, build = [], lattice._rows
+    monkeypatch.setattr(lattice, "_rows",
+                        lambda graph, lo, hi: built.append((lo, hi)) or build(graph, lo, hi))
+    state = initial_state(g, 0, "a", "right")
+    assert _window_cells(g, (0, g.spec.n_diamonds - 1)) == (0, 2 * half)
+    assert not built and g._memo is None
+    evolve(state, g, 200)
+    d = g.spec.diamond_index(0, "a")
+    assert built == [(d - 200, d + 1 + 200)] == [(4, 405)]
 
 
 def test_the_memo_after_a_long_chain_walk_covers_at_most_twice_the_final_window():
