@@ -26,6 +26,8 @@ below 2e-6, that is where |d(k)| comes within 1e-6 of the origin.
 An overall 1/N normalisation of the momentum-space Hamiltonian is dropped
 throughout: it rescales all energies uniformly and affects no gap ratio,
 band shape, or winding conclusion.
+
+Every ``n_k`` is read by the package's integer rule before any array is built.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diamond import transmission_closed_form
+from .multiport import _integral
 
 __all__ = [
     "GapClosed",
@@ -272,6 +275,7 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     limit-evaluated, so every grid point yields a value and no exclusions
     arise.
     """
+    n_k = _integral(n_k, "n_k has a value")
     if n_k < 16:
         raise ValueError("n_k must be >= 16")
     k = _k_grid(n_k)
@@ -297,6 +301,7 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     With only these samples to go on, it raises :class:`GapClosed` when a
     sampled point of the curve comes within 1e-6 of the origin.
     """
+    n_k = _integral(n_k, "n_k has a value")
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
@@ -314,6 +319,7 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
 def _winding_and_bands(phi_a: float, phi_b: float,
                        n_k: int) -> tuple[WindingResult, BandResult]:
     """:func:`winding_number` and the :func:`band_structure` it was read from."""
+    n_k = _integral(n_k, "n_k has a value")
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
     bands = band_structure(phi_a, phi_b, n_k)
@@ -368,12 +374,13 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     ``_BLOCK_FLOATS // n_k`` pairs, one lockstep Brent search refines the gaps
     of all pairs, and the winding reads four columns of the table.
     """
+    n_k = _integral(n_k, "n_k has a value")
+    if n_k < 64:
+        raise ValueError("n_k must be >= 64")
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
     if phi_a_grid.size == 0 or phi_b_grid.size == 0:
         raise ValueError("phase grids must be nonempty")
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
     k = _k_grid(n_k)
     phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
     # in blocks of phases whose complex temporaries are each the size of a

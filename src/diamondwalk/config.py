@@ -58,16 +58,15 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; physical checks done before any computation."""
+class RunConfig(LatticeSpec):
+    """The chain of a run, checked as every :class:`LatticeSpec` is, and its
+    step count, or None when the document gives none.  Graphs are built from
+    :meth:`lattice_spec`, so no graph's ``spec`` carries a step count."""
 
-    half_length: int
-    regions: tuple[tuple[int, int, float, float], ...]
-    internal_length: int
-    external_length: int
     steps: int | None = None
 
     def lattice_spec(self) -> LatticeSpec:
+        """The chain alone, as a plain :class:`LatticeSpec` equal to it."""
         return LatticeSpec(self.half_length, self.regions, self.internal_length,
                            self.external_length)
 
@@ -131,22 +130,13 @@ def parse_config(document: str) -> RunConfig:
         path, message = found
         raise ConfigError(f"schema error at {path or '<document root>'}: {message}")
 
-    lengths = raw.get("edge_lengths", {})
     try:
-        # the schema has checked the lengths, so only the regions can fail here
-        spec = LatticeSpec(
-            half_length=int(raw["half_length"]),
+        # the schema has checked all but the regions, which only the spec can refuse
+        return RunConfig(
+            half_length=raw["half_length"],
             regions=tuple((r["from"], r["to"], r["phi_a"], r["phi_b"]) for r in raw["regions"]),
-            internal_length=int(lengths.get("internal", LatticeSpec.internal_length)),
-            external_length=int(lengths.get("external", LatticeSpec.external_length)),
+            **{f"{edge}_length": n for edge, n in raw.get("edge_lengths", {}).items()},
+            steps=int(raw["steps"]) if "steps" in raw else None,
         )
     except ValueError as exc:
         raise ConfigError(f"schema error at regions: {exc}") from None
-
-    return RunConfig(
-        half_length=spec.half_length,
-        regions=spec.regions,  # (int, int, float, float) each
-        internal_length=spec.internal_length,
-        external_length=spec.external_length,
-        steps=int(raw["steps"]) if "steps" in raw else None,
-    )

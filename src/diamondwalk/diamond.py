@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiport import DEFAULT_THETA, vertex_unitary
+from .multiport import DEFAULT_THETA, _integral, vertex_unitary
 
 __all__ = [
     "SingularSystem",
@@ -205,9 +205,11 @@ def oracle_deviation(convention: EdgeConvention, n_phi: int = 32, n_k: int = 32)
     """Max over a (phi, k) grid of ``| |t_solver| - |t_closed_form| |``.
 
     The grid is midpoint-sampled over (0, 2pi)^2 so it keeps a radius of at
-    least pi/n away from the closed form's removable singularities.  An empty
-    grid is rejected: it would score as perfect agreement.
+    least pi/n away from the closed form's removable singularities.  Counts
+    follow the package's integer rule; an empty grid is rejected: it would
+    score as perfect agreement.
     """
+    n_phi, n_k = _integral(n_phi, "n_phi has a value"), _integral(n_k, "n_k has a value")
     if n_phi < 1 or n_k < 1:
         raise ValueError(f"n_phi and n_k must be >= 1, got {n_phi} and {n_k}")
     phis = (np.arange(n_phi)[:, None] + 0.5) * 2.0 * math.pi / n_phi

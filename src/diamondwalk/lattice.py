@@ -51,7 +51,6 @@ edge, ports B and C the top and bottom internal edges.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -59,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diamond import DEFAULT_CONVENTION
-from .multiport import DEFAULT_THETA, vertex_unitary
+from .multiport import DEFAULT_THETA, _integral, vertex_unitary
 
 __all__ = [
     "SUBSITES",
@@ -71,20 +70,6 @@ __all__ = [
 ]
 
 SUBSITES = ("a", "b")
-
-
-def _integral(value, what: str) -> int:
-    """``value`` as an int: an integer (numpy's too) or an integral float such
-    as ``8.0``; anything else, a bool or a string included, raises
-    :class:`ValueError` that says ``what`` has that value."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} {value!r} that is not an integral number")
 
 
 @dataclass(frozen=True)
@@ -287,14 +272,15 @@ def _window(graph: LatticeGraph,
     replaces it with the window's own rows: ``evolve`` asks for its final
     window before its first record, and that holds every later one.  The
     last window served is kept with its views: a walk asks for each window
-    several times.  Raises :class:`ValueError` unless
-    ``0 <= lo <= hi <= n_diamonds - 1``."""
+    several times.  Raises :class:`ValueError` for a bound that is not an
+    integral number (a bool included) and unless ``0 <= lo <= hi <= n_diamonds - 1``."""
     spec = graph.spec
-    lo, hi = (0, spec.n_diamonds - 1) if window is None else map(operator.index, window)
+    last = spec.n_diamonds - 1
+    lo, hi = (0, last) if window is None else window
+    lo, hi = _integral(lo, "window has a bound"), _integral(hi, "window has a bound")
     served = graph._served
     if served is not None and served[0] == (lo, hi):
         return served[1]
-    last = spec.n_diamonds - 1
     if not 0 <= lo <= hi <= last:
         raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
     memo = graph._memo
@@ -370,12 +356,12 @@ class AuditReport:
 
 
 def _reverse_ends(spec: LatticeSpec, starts: np.ndarray) -> np.ndarray:
-    """Per slot: the last slot of its edge traversed back if it starts the edge, else -1."""
+    """Per slot: the last slot of the edge that holds it, traversed back."""
     base = _n_internal(spec)
     length = np.where(starts >= base, spec.external_length, spec.internal_length)
     offset = base * (starts >= base)
-    edge, pos = np.divmod(starts - offset, length)
-    return np.where(pos != 0, -1, offset + (edge ^ 1) * length + length - 1)
+    edge = (starts - offset) // length
+    return offset + (edge ^ 1) * length + length - 1
 
 
 def _distinct(values) -> np.ndarray:

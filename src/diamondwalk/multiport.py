@@ -13,6 +13,7 @@ Port indexing is fixed as (A, B, C) -> (0, 1, 2) throughout the package.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -47,3 +48,16 @@ def vertex_unitary(theta: float) -> np.ndarray:
     matrix.setflags(write=False)
     return matrix
 
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int: an integer (numpy's too) or an integral float such
+    as ``8.0``; anything else, a bool or a string included, raises
+    :class:`ValueError` that says ``what`` has that value."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} that is not an integral number")

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGraph, _integral, _slot_cells, _stride, _window, _window_cells
+from .lattice import LatticeGraph, _slot_cells, _stride, _window, _window_cells
+from .multiport import _integral
 
 __all__ = [
     "LightConeOverflow",
@@ -134,9 +135,9 @@ def step(state: WalkState, graph: LatticeGraph, *, window: tuple[int, int] | Non
          out: np.ndarray | None = None) -> WalkState:
     """Advance diamonds ``window=(lo, hi)`` (the whole chain when None) one
     sub-step into ``out`` (a new zeroed array when None); the input is not
-    modified.  Raises :class:`ValueError`, before any write, when ``out`` is
-    not a complex128 array of ``graph.dim`` slots or may share memory with the
-    input's amplitudes.
+    modified.  Raises :class:`ValueError`, before any write, for a window
+    bound that is not an integral number, or when ``out`` is not a complex128
+    array of ``graph.dim`` slots or may share memory with the input's amplitudes.
 
     Only the window's slots (see :func:`~diamondwalk.lattice._window`) are
     read and written, through the window's rows of the graph's memo, and the

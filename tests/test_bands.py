@@ -159,6 +159,29 @@ def test_phase_diagram_rejects_empty_grid():
         phase_diagram([], [1.0])
 
 
+N_K_ENTRIES = {
+    "band_structure": lambda n_k: band_structure(1.5, 2.5, n_k).e_plus,
+    "winding_number": lambda n_k: winding_number(1.5, 2.5, n_k).nu,
+    "winding_from_hoppings": lambda n_k: winding_from_hoppings(0.3, 0.7, n_k).min_radius,
+    "phase_diagram": lambda n_k: phase_diagram([1.5], [2.5], n_k).gap,
+}
+
+
+@pytest.mark.parametrize("n_k", [128.5, "128", True, None, np.True_],
+                         ids=["fraction", "str", "bool", "none", "numpy-bool"])
+@pytest.mark.parametrize("entry", sorted(N_K_ENTRIES))
+def test_n_k_that_is_not_an_integral_number_is_rejected(entry, n_k):
+    with pytest.raises(ValueError, match="n_k has a value"):
+        N_K_ENTRIES[entry](n_k)
+
+
+@pytest.mark.parametrize("n_k", [128.0, np.int64(128), np.float64(128)],
+                         ids=["float", "numpy-int", "numpy-float"])
+@pytest.mark.parametrize("entry", sorted(N_K_ENTRIES))
+def test_n_k_that_is_an_integral_number_is_taken_as_its_int(entry, n_k):
+    assert np.array_equal(N_K_ENTRIES[entry](n_k), N_K_ENTRIES[entry](128))
+
+
 # The batched path against the per-point oracle, bit for bit.
 
 GRID_9 = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)

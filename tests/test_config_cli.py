@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -109,6 +110,33 @@ class TestParseConfig:
             parse_config(json.dumps(replaced(["regions"], [])))
         assert str(info.value) == "schema error at regions: expected at least 1 items, got 0"
 
+    def test_parsed_config_is_its_lattice_spec_plus_steps(self):
+        config = parse_config(json.dumps(FIG5_CONFIG))
+        assert isinstance(config, LatticeSpec)
+        assert ([f.name for f in dataclasses.fields(config)]
+                == [f.name for f in dataclasses.fields(LatticeSpec)] + ["steps"])
+        spec = config.lattice_spec()
+        assert type(spec) is LatticeSpec
+        assert spec == LatticeSpec(8, ((-8, 0, 1.5, 2.5), (1, 8, 3 * math.pi / 4, 0.0)))
+        assert repr(config) == repr(spec).replace("LatticeSpec(", "RunConfig(")[:-1] + ", steps=10)"
+
+    def test_config_without_steps_has_no_step_count(self):
+        doc = dict(FIG5_CONFIG)
+        del doc["steps"]
+        assert parse_config(json.dumps(doc)).steps is None
+
+    @pytest.mark.parametrize("lengths, want", [
+        ({"internal": 3, "external": 2}, (3, 2)),
+        ({"internal": 3.0}, (3, 1)),
+        ({"external": 2}, (2, 2)),
+        ({}, (2, 1)),
+    ])
+    def test_given_edge_lengths_are_kept_and_the_rest_default(self, lengths, want):
+        config = parse_config(json.dumps(dict(FIG5_CONFIG, edge_lengths=lengths)))
+        spec = config.lattice_spec()
+        assert (spec.internal_length, spec.external_length) == want
+        assert type(spec.internal_length) is int
+
 
 class TestCli:
     def test_scatter_emits_matching_magnitudes(self, tmp_path, capsys):
@@ -209,6 +237,16 @@ class TestCli:
         assert len(lines) == 1 + 11 * 17  # (steps+1) records x (2M+1) cells
         summary = json.loads(s1.read_text())
         assert len(summary["p_boundary"]) == 11
+
+    def test_walk_builds_its_graph_from_a_plain_lattice_spec(self, tmp_path, monkeypatch):
+        # a RunConfig would build too, but its graph's spec would carry the step count
+        built = []
+        build = diamondwalk.cli.build_lattice
+        monkeypatch.setattr(diamondwalk.cli, "build_lattice",
+                            lambda spec: built.append(spec) or build(spec))
+        config = write_config(tmp_path, FIG5_CONFIG)
+        assert main(["walk", "--config", str(config), "--out", str(tmp_path / "w.csv")]) == 0
+        assert [type(spec) for spec in built] == [LatticeSpec]
 
     def test_walk_steps_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path, FIG5_CONFIG)

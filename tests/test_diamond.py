@@ -175,6 +175,18 @@ def test_oracle_deviation_rejects_empty_grid(n_phi, n_k):
         oracle_deviation(DEFAULT_CONVENTION, n_phi, n_k)
 
 
+@pytest.mark.parametrize("n_phi,n_k,name", [(2.5, 4, "n_phi"), (True, 4, "n_phi"),
+                                            (4, "3", "n_k"), (4, None, "n_k")])
+def test_oracle_deviation_rejects_a_count_that_is_not_an_integral_number(n_phi, n_k, name):
+    with pytest.raises(ValueError, match=f"{name} has a value"):
+        oracle_deviation(DEFAULT_CONVENTION, n_phi, n_k)
+
+
+def test_oracle_deviation_takes_an_integral_count_as_its_int():
+    want = oracle_deviation(DEFAULT_CONVENTION, 12, 12)
+    assert oracle_deviation(DEFAULT_CONVENTION, 12.0, np.int64(12)) == want
+
+
 def test_solver_batch_is_bitwise_a_loop_of_scalar_calls():
     rng = np.random.default_rng(20)
     phis = np.concatenate([rng.uniform(-10.0, 10.0, 600), rng.uniform(0.0, 2 * np.pi, 600)])

@@ -362,6 +362,38 @@ def test_window_out_of_range_is_rejected_before_any_write(window):
         cell_probabilities(g, state, window=window)
 
 
+@pytest.mark.parametrize("entry", ["step", "cell_probabilities"])
+@pytest.mark.parametrize("window", [(True, 13), (1, "13"), (1.5, 13), (1, None), (np.True_, 13)],
+                         ids=["bool", "str", "fraction", "none", "numpy-bool"])
+def test_window_bound_that_is_not_an_integral_number_is_rejected_before_any_write(entry, window):
+    g = graph_for(4)
+    state = initial_state(g, 0, "a", "right")
+    step(state, g, window=(1, 13))  # served last: True == 1, but a bool is no bound
+    out = np.full(g.dim, np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="window has a bound"):
+        if entry == "step":
+            step(state, g, window=window, out=out)
+        else:
+            cell_probabilities(g, state, window=window)
+    assert np.isnan(out).all()
+
+
+@pytest.mark.parametrize("entry", ["step", "cell_probabilities"])
+@pytest.mark.parametrize("window", [(2.0, 13), (np.int64(2), 13.0), (2, np.float64(13))],
+                         ids=["float", "numpy-int", "numpy-float"])
+def test_window_bound_that_is_an_integral_number_is_taken_as_its_int(entry, window):
+    g = graph_for(4)
+    state = initial_state(g, 0, "a", "right")
+
+    def run(bounds):
+        if entry == "step":
+            return step(state, g, window=bounds).amplitudes
+        return cell_probabilities(g, state, window=bounds)
+
+    want = run((2, 13))
+    assert run(window).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("internal,external", EDGE_LENGTHS)
 def test_windowed_evolve_matches_plain_walk_from_full_support(internal, external):
     # every slot is nonzero, so the window is the whole chain from the start;
