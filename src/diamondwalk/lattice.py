@@ -364,15 +364,6 @@ def _reverse_ends(spec: LatticeSpec, starts: np.ndarray) -> np.ndarray:
     return offset + (edge ^ 1) * length + length - 1
 
 
-def _distinct(values) -> np.ndarray:
-    """The sorted distinct entries of ``values``, as ``np.unique`` returns them;
-    ``np.unique`` imports ``numpy.ma`` (about 8 ms) on its first plain call."""
-    ordered = np.sort(values, axis=None)
-    keep = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
 def _step_table_violations(graph: LatticeGraph) -> list[str]:
     """The step-table checks of :func:`audit_graph`, in its order."""
     spec, dim, base = graph.spec, graph.dim, _n_internal(graph.spec)
@@ -400,15 +391,18 @@ def _step_table_violations(graph: LatticeGraph) -> list[str]:
     # the diamonds around each mirror slot cover every case: the lowest
     # window of each run of them past diamond 0 holds edges of each kind
     # that no mirror slot touches.  Only the rows of diamonds next to those
-    # windows read or write their slots and the slot before each.
+    # windows read or write their slots and the slot before each.  The checks
+    # count per slot, so a slot sampled twice counts alike each time; a
+    # reader taken twice would read and write its slots twice.
     near = _lowest(spec, mirrors)[:, None] + [-1, 0, 1, 2]
-    sampled = _distinct(np.concatenate(([0, n_diamonds - 1], near.ravel())))
+    sampled = np.concatenate(([0, n_diamonds - 1], near.ravel()))
     sampled = sampled[(sampled >= 0) & (sampled < n_diamonds)]
-    slots = _distinct(np.concatenate(
+    slots = np.sort(np.concatenate(
         ((sampled[:, None] * 4 * internal + np.arange(4 * internal)).ravel(),
          (base + sampled[:, None] * 2 * external + np.arange(4 * external)).ravel())))
-    readers = _distinct((sampled[:, None] + [-2, -1, 0, 1]).ravel())
-    shift = readers[(readers >= 0) & (readers < n_diamonds), None, None] * stride
+    readers = sorted({d for d in (sampled[:, None] + [-2, -1, 0, 1]).ravel().tolist()
+                      if 0 <= d < n_diamonds})
+    shift = np.array(readers)[:, None, None] * stride
     ends = np.sort(np.concatenate(((graph.in_template + shift).ravel(), graph.mirror_src)))
     starts = np.sort(np.concatenate(((graph.out_template + shift).ravel(), graph.mirror_dst)))
 

@@ -13,8 +13,8 @@ from jsonschema import Draft202012Validator
 
 import diamondwalk
 from diamondwalk import (
-    DEFAULT_THETA, AuditReport, ConfigError, LatticeSpec, build_lattice, cli, diamond,
-    multiport, parse_config,
+    DEFAULT_THETA, AuditReport, ConfigError, LatticeSpec, audit_graph, build_lattice, cli,
+    diamond, multiport, parse_config,
 )
 from diamondwalk.cli import main
 from diamondwalk.config import CONFIG_SCHEMA
@@ -463,6 +463,53 @@ class TestCli:
         assert main(["repro", "fig5", "--out", str(d2), "--steps", "30"]) == 0
         for name in ("fig5_boundary.csv", "fig5_uniform.csv", "fig5_summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_repro_fig5_too_long_to_allocate_is_config_error_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # 10**9 steps size both chains at half_length 500000002; as for walk,
+        # the state is the first allocation that fails
+        zeros = np.zeros
+
+        def failing_zeros(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e9:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", failing_zeros)
+        out = tmp_path / "out"
+        assert main(["repro", "fig5", "--out", str(out), "--steps", "1000000000"]) == 2
+        half = cli.walk_mod.auto_half_length(10**9)
+        slots = build_lattice(LatticeSpec.uniform(half, 0.0, 0.0)).dim
+        assert (f"a state of {slots} slots does not fit in memory (half_length {half})"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_repro_fig5_writes_nothing_when_its_second_walk_fails(self, tmp_path, capsys,
+                                                                monkeypatch):
+        evolve, calls = cli.walk_mod.evolve, []
+
+        def overflowing_second_walk(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise cli.walk_mod.LightConeOverflow("forged overflow")
+            return evolve(*args)
+
+        monkeypatch.setattr(cli.walk_mod, "evolve", overflowing_second_walk)
+        assert main(["repro", "fig5", "--out", str(tmp_path), "--steps", "30"]) == 3
+        assert "numerical error: forged overflow" in capsys.readouterr().err
+        assert len(calls) == 2 and not list(tmp_path.glob("fig5_*"))
+
+    def test_repro_fig5_walks_only_lattices_that_pass_the_audit(self, tmp_path, monkeypatch):
+        # repro fig5 runs no audit of its own yet; these are the paper figure's lattices
+        built = []
+        build = cli.build_lattice
+        monkeypatch.setattr(cli, "build_lattice",
+                            lambda spec: built.append(build(spec)) or built[-1])
+        assert main(["repro", "fig5", "--out", str(tmp_path)]) == 0
+        assert len(built) == 2
+        for graph in built:
+            report = audit_graph(graph)
+            assert report.ok, report.violations
 
 
 # both are test-only oracles; importing scipy cost about 0.45 s per process, jsonschema 0.08 s

@@ -10,7 +10,6 @@ from diamondwalk import (
     audit_graph,
     build_lattice,
 )
-from diamondwalk.lattice import _distinct
 from audit_oracle import step_table_violations
 from step_oracle import dense_tables, directed, external_edge, slots, wiring
 
@@ -226,17 +225,6 @@ def test_spec_refuses_a_bound_that_is_not_an_integral_number(lo, hi, bad):
     with pytest.raises(ValueError, match=re.escape(
             f"region {region!r} has a bound {bad} that is not an integral number")):
         LatticeSpec(3, (region,))
-
-
-def test_distinct_equals_np_unique():
-    rng = np.random.default_rng(7)
-    cases = [rng.integers(-20, 20, size=n) for n in (2, 7, 50, 300)]
-    cases += [np.array([], dtype=np.int64), np.array([5]), np.full(9, -3),
-              np.arange(-4, 12), np.arange(6).repeat(3), np.array([[3, 1], [1, -2]])]
-    for values in cases:
-        want, got = np.unique(values), _distinct(values)
-        assert got.dtype == want.dtype and got.shape == want.shape, values
-        assert np.array_equal(got, want), values
 
 
 def test_profile_rejects_an_empty_region_list():
@@ -467,6 +455,13 @@ def test_audit_checks_the_tail_block_and_the_mirrors(internal, external):
         (both, dict(mirror_src=np.array([g.mirror_src[0], last]))),
         # both mirrors read and write one slot of the bulk, twice over
         (both, dict(mirror_src=np.array([middle, middle]), mirror_dst=np.array([middle, middle]))),
+        # no port reads the state's last slot: each right vertex's port A
+        # reads its left external edge's end, not its right one's (diamond
+        # 0's reads the left mirror's slot too).  With the mirrors'
+        # reflections traded as well, the slots the audit samples no longer
+        # end at that slot, and it must still check it
+        (both, dict(in_template=with_entry(g.in_template, (1, 0), g.mirror_src[0]),
+                    mirror_dst=g.mirror_dst[::-1].copy())),
     ]
     for expected, tables in cases:
         broken, dense = corrupted(g, **tables)
