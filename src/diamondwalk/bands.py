@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diamond import transmission_closed_form
-from .multiport import _integral
+from .multiport import _count
 
 __all__ = [
     "GapClosed",
@@ -275,9 +275,7 @@ def band_structure(phi_a: float, phi_b: float, n_k: int = 512) -> BandResult:
     limit-evaluated, so every grid point yields a value and no exclusions
     arise.
     """
-    n_k = _integral(n_k, "n_k has a value")
-    if n_k < 16:
-        raise ValueError("n_k must be >= 16")
+    n_k = _count(n_k, "n_k", 16)
     k = _k_grid(n_k)
     abs_ta = np.abs(transmission_closed_form(phi_a, k))
     abs_tb = np.abs(transmission_closed_form(phi_b, k))
@@ -301,9 +299,7 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
     With only these samples to go on, it raises :class:`GapClosed` when a
     sampled point of the curve comes within 1e-6 of the origin.
     """
-    n_k = _integral(n_k, "n_k has a value")
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
+    n_k = _count(n_k, "n_k", 64)
     k = _k_grid(n_k)
     ta, tb, _ = np.broadcast_arrays(np.asarray(abs_ta, float), np.asarray(abs_tb, float), k)
     if not np.all(np.isfinite(ta) & np.isfinite(tb) & (ta >= 0.0) & (tb >= 0.0)):
@@ -319,9 +315,7 @@ def winding_from_hoppings(abs_ta, abs_tb, n_k: int = 1024) -> WindingResult:
 def _winding_and_bands(phi_a: float, phi_b: float,
                        n_k: int) -> tuple[WindingResult, BandResult]:
     """:func:`winding_number` and the :func:`band_structure` it was read from."""
-    n_k = _integral(n_k, "n_k has a value")
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
+    n_k = _count(n_k, "n_k", 64)
     bands = band_structure(phi_a, phi_b, n_k)
     if _closed(bands.gap):
         raise GapClosed(f"refined gap {bands.gap:.2e} is closed; winding undefined")
@@ -374,9 +368,7 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     ``_BLOCK_FLOATS // n_k`` pairs, one lockstep Brent search refines the gaps
     of all pairs, and the winding reads four columns of the table.
     """
-    n_k = _integral(n_k, "n_k has a value")
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
+    n_k = _count(n_k, "n_k", 64)
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
     if phi_a_grid.size == 0 or phi_b_grid.size == 0:

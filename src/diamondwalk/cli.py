@@ -13,6 +13,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -292,6 +293,7 @@ def cmd_repro(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process, built by the first main call: a build takes ~1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamondwalk",
@@ -349,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiport import DEFAULT_THETA, _integral, vertex_unitary
+from .multiport import DEFAULT_THETA, _count, _integral, vertex_unitary
 
 __all__ = [
     "SingularSystem",
@@ -69,8 +69,8 @@ class EdgeConvention:
     quarter_turns: int = 1
 
     def __post_init__(self) -> None:
-        if self.internal_length < 1:
-            raise ValueError("internal_length must be >= 1")
+        for name, minimum in (("internal_length", 1), ("quarter_turns", -math.inf)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
 
     @property
     def traversal_phase(self) -> float:

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diamond import DEFAULT_CONVENTION
-from .multiport import DEFAULT_THETA, _integral, vertex_unitary
+from .multiport import DEFAULT_THETA, _count, _integral, vertex_unitary
 
 __all__ = [
     "SUBSITES",
@@ -90,10 +90,9 @@ class LatticeSpec:
     external_length: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("half_length", "internal_length", "external_length"):
+        object.__setattr__(self, "half_length", _count(self.half_length, "half_length", 1))
+        for name in ("internal_length", "external_length"):
             object.__setattr__(self, name, _integral(getattr(self, name), f"{name} has a value"))
-        if self.half_length < 1:
-            raise ValueError("half_length must be >= 1")
         if self.internal_length < 1 or self.external_length < 1:
             raise ValueError("edge lengths must be >= 1")
         if not self.regions:

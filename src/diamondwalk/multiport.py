@@ -61,3 +61,11 @@ def _integral(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} {value!r} that is not an integral number")
+
+
+def _count(value, name: str, minimum: float) -> int:
+    """The count ``name`` read by :func:`_integral`; below ``minimum``, a :class:`ValueError`."""
+    count = _integral(value, f"{name} has a value")
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return count

@@ -2,7 +2,8 @@
 
 State model: one complex amplitude per slot of the layout that
 :mod:`diamondwalk.lattice` defines (edge, direction, position along the
-edge); that module alone does slot arithmetic.  Each directed edge's slots
+edge); it does the slot arithmetic but for :func:`initial_state`'s injection
+slot and :func:`evolve`'s cell-to-diamond map.  Each directed edge's slots
 are contiguous and in travel order, so one sub-step is a shift of the whole
 state by one slot, followed by the vertex scatter and the mirrors, which
 overwrite the first slot of every edge: amplitudes reaching a vertex scatter
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeGraph, _slot_cells, _stride, _window, _window_cells
-from .multiport import _integral
+from .multiport import _count
 
 __all__ = [
     "LightConeOverflow",
@@ -239,9 +240,7 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     pairwise summation tree that holds its span (see :func:`_sum_node`), not
     over the whole row, with the full row's bits.
     """
-    n_record = _integral(n_record, "n_record has a value")
-    if n_record < 0:
-        raise ValueError("n_record must be >= 0")
+    n_record = _count(n_record, "n_record", 0)
     _check_state(state, graph)
     nonzero = np.flatnonzero(state.amplitudes != 0)  # NaN != 0: refused below
     if not nonzero.size:

@@ -282,6 +282,39 @@ def test_criterion_07_boundary_state_persistence(fig5_runs):
     assert positive_ok, f"no persistence at the package-labelled wall: {controls}"
 
 
+def late_and_mid(spec) -> np.ndarray:
+    """Late and mid window means of p_boundary for a 200-record walk on
+    ``spec`` from the Fig. 5 injection."""
+    graph = build_lattice(spec)
+    p_boundary = evolve(initial_state(graph, *FIG5_INJECTION), graph, 200).p_boundary
+    return np.array([p_boundary[LATE].mean(), p_boundary[MID].mean()])
+
+
+def disordered_chain(pair, width: float, rng) -> LatticeSpec:
+    """``pair`` on every cell, each cell's two phases moved by independent
+    uniform draws within +-``width``: one region per cell."""
+    cells = range(-FIG5_HALF, FIG5_HALF + 1)
+    shifts = rng.uniform(-width, width, size=(len(cells), 2))
+    return LatticeSpec(FIG5_HALF, tuple((c, c, pair[0] + da, pair[1] + db)
+                                        for c, (da, db) in zip(cells, shifts)))
+
+
+def test_disorder_alone_passes_criterion_07s_ratio_without_a_wall():
+    # Criterion 07's negative controls are clean chains, and they fail its
+    # late >= 0.5 x mid ratio.  With no wall either, +-0.05 rad of per-cell
+    # phase disorder passes it: the ratio reads localisation, which Anderson
+    # localisation gives as well (Obuse & Kawakami, PRB 84, 195139 (2011)).
+    # The statistic is the mean over 6 realisations; one realisation alone
+    # passed 105 times in 120 at another seed.
+    rng = np.random.default_rng(0)
+    for pair in (package_pair(FIG5_LEFT), package_pair(FIG5_RIGHT)):
+        clean = late_and_mid(LatticeSpec.uniform(FIG5_HALF, *pair))
+        disordered = np.mean([late_and_mid(disordered_chain(pair, 0.05, rng))
+                              for _ in range(6)], axis=0)
+        assert clean[0] < 0.5 * clean[1], (pair, clean)
+        assert disordered[0] >= 0.5 * disordered[1], (pair, disordered)
+
+
 def test_criterion_08_ballistic_spreading(fig5_runs):
     _, _, uniform_obs, _ = fig5_runs
     t = np.arange(50, 201, dtype=float)

@@ -528,6 +528,20 @@ def test_importing_the_cli_loads_no_test_only_package(root):
     assert proc.stdout.strip() == "[]"
 
 
+# a build takes ~1 ms, and a `repro` op calls main twice
+def test_main_builds_its_parser_once_per_process_and_importing_the_cli_builds_none(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["scatter", "--phi", "1.5", "--k", "1.0"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    code = "import diamondwalk.cli as cli; print(cli.build_parser.cache_info().misses)"
+    src = str(Path(diamondwalk.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 # numpy loads some modules on first use: np.unique, called without return_index,
 # return_inverse or return_counts, imports numpy.ma (about 8 ms) on its first call
 def test_no_command_imports_a_module_after_the_cli_and_its_parser(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,3 +249,12 @@ def test_wrong_convention_has_large_deviation():
 def test_edge_convention_validation():
     with pytest.raises(ValueError):
         EdgeConvention(internal_length=0)
+    # both counts follow the integer rule: 2.5 or True would otherwise reach the solver
+    for name in ("internal_length", "quarter_turns"):
+        for bad in (2.5, True, "3", None, float("nan")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} has a value {bad!r} that is not an integral number")):
+                EdgeConvention(**{name: bad})
+    convention = EdgeConvention(internal_length=2.0, quarter_turns=np.float64(1.0))
+    assert convention == DEFAULT_CONVENTION
+    assert [type(v) for v in (convention.internal_length, convention.quarter_turns)] == [int, int]
