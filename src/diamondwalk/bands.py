@@ -366,13 +366,15 @@ def phase_diagram(phi_a_grid, phi_b_grid, n_k: int = 512) -> PhaseDiagram:
     ``|t(phi, k)|`` is tabulated over the distinct phases, a block of phases
     per call; the splitting and its gap minimum then run over blocks of
     ``_BLOCK_FLOATS // n_k`` pairs, one lockstep Brent search refines the gaps
-    of all pairs, and the winding reads four columns of the table.
+    of all pairs, and the winding reads four columns of the table.  Raises
+    :class:`ValueError`, before the table, for a grid that is empty or not 1-D.
     """
     n_k = _count(n_k, "n_k", 64)
     phi_a_grid = np.atleast_1d(np.asarray(phi_a_grid, dtype=float))
     phi_b_grid = np.atleast_1d(np.asarray(phi_b_grid, dtype=float))
-    if phi_a_grid.size == 0 or phi_b_grid.size == 0:
-        raise ValueError("phase grids must be nonempty")
+    for grid in phi_a_grid, phi_b_grid:
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"phase grids must be nonempty and 1-D, got shape {grid.shape}")
     k = _k_grid(n_k)
     phases, which = np.unique(np.concatenate([phi_a_grid, phi_b_grid]), return_inverse=True)
     # in blocks of phases whose complex temporaries are each the size of a

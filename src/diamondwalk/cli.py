@@ -199,7 +199,11 @@ def _walk(graph: LatticeGraph, steps: int, cell: int, subsite: str, direction: s
     except MemoryError as exc:
         raise ConfigError(f"a state of {graph.dim} slots does not fit in memory "
                           f"(half_length {graph.spec.half_length})") from exc
-    return walk_mod.evolve(state, graph, steps)
+    try:  # then evolve's two state buffers and its spans
+        return walk_mod.evolve(state, graph, steps)
+    except MemoryError as exc:
+        raise ConfigError(f"a walk of {steps} records on {graph.dim} slots "
+                          "does not fit in memory") from exc
 
 
 def _check_steps(steps: int | None) -> None:

@@ -305,20 +305,6 @@ def _lowest(spec: LatticeSpec, slots: np.ndarray) -> np.ndarray:
                     slots // (4 * spec.internal_length))
 
 
-def _window_cells(graph: LatticeGraph, window: tuple) -> tuple:
-    """First and last cell the slots of ``window`` count toward: those of the
-    outermost, left-moving on external edge ``lo`` and right-moving on edge
-    ``hi + 1``.  ``lo`` and ``hi`` may be equal-shaped integer arrays, one
-    window each.  Raises :class:`ValueError` unless every
-    ``0 <= lo <= hi <= n_diamonds - 1``."""
-    lo, hi, last = np.asarray(window[0]), np.asarray(window[1]), graph.spec.n_diamonds - 1
-    if not np.all((0 <= lo) & (lo <= hi) & (hi <= last)):
-        raise ValueError(f"window {window} is not within diamonds 0 .. {last}")
-    length, base = graph.spec.external_length, _n_internal(graph.spec)
-    return tuple(_slot_cells(graph.spec, np.stack((base + (2 * lo + 1) * length,
-                                                   base + (2 * hi + 2) * length))))
-
-
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     """Describe the chain of ``spec`` by diamond 0's wiring, which the
     spec's period repeats, and the mirrors: a few small arrays at any chain

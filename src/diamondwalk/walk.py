@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGraph, _slot_cells, _stride, _window, _window_cells
+from .lattice import LatticeGraph, _slot_cells, _stride, _window
 from .multiport import _count
 
 __all__ = [
@@ -260,19 +260,17 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # So the input is zero outside the first window's slots, and only those
     # are copied.  Both buffers stay zero outside the window: a windowed step
     # rewrites every slot of the window, and the window never shrinks.
-    last = graph.spec.n_diamonds - 1
+    # Row r of ``windows`` is record r's window.  A window's outer external
+    # edges count toward the diamonds beyond it, so its slots count toward
+    # the cells of the next window: record r's span is window r + 1's cells.
     occupied = _slot_cells(graph.spec, nonzero)
-    lo, hi = 2 * int(occupied.min()), 2 * int(occupied.max()) + 1
+    lo, hi = 2 * occupied.min(), 2 * occupied.max() + 1  # the occupied cells' diamonds
     n_rows = n_record + 1
-
-    def window_at(r: int) -> tuple[int, int]:
-        return max(lo - r, 0), min(hi + r, last)
-
-    _window(graph, window_at(n_record))  # the one row build: it holds every earlier window
-    grown = np.arange(n_rows)
-    cell_span = np.stack(_window_cells(graph, (np.maximum(lo - grown, 0),
-                                               np.minimum(hi + grown, last))), axis=1)
-    del grown  # of the record-sized arrays, only the spans outlive the set-up
+    windows = np.arange(n_rows + 1)[:, None] * [-1, 1] + [lo, hi]
+    np.clip(windows, 0, graph.spec.n_diamonds - 1, out=windows)
+    cell_span = windows[1:] // 2
+    # the one row build: the final window holds every earlier one
+    _window(graph, tuple(windows[n_record].tolist()))
     p_span = np.empty(int((cell_span[:, 1] - cell_span[:, 0] + 1).sum()))
     half = graph.spec.half_length
     m = np.arange(-half, half + 1, dtype=float)
@@ -288,13 +286,13 @@ def evolve(state: WalkState, graph: LatticeGraph, n_record: int) -> WalkObservab
     # for the caller's next large array: with the cells above them, a
     # walk_large-like op, run again and again, held ~5 MiB more resident.
     amplitudes, spare = np.zeros(graph.dim, complex), np.zeros(graph.dim, complex)
-    for slots in _window(graph, window_at(0))[:2]:
+    for slots in _window(graph, tuple(windows[0].tolist()))[:2]:
         amplitudes[slots] = state.amplitudes[slots]
     state = WalkState(amplitudes=amplitudes)
 
     start = 0  # of the record's span in p_span
     for r in range(n_rows):
-        window = window_at(r)
+        window = tuple(windows[r].tolist())
         if r > 0:
             for _ in range(substeps_per_record):
                 state, spare = step(state, graph, window=window, out=spare), state.amplitudes

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -157,6 +158,12 @@ def test_phase_diagram_flags_diagonal_and_partitions():
 def test_phase_diagram_rejects_empty_grid():
     with pytest.raises(ValueError):
         phase_diagram([], [1.0])
+    # a grid that is not 1-D is refused by its shape, not by an indexing or
+    # concatenate error deep inside numpy
+    for phi_a, phi_b, shape in (([[1.5, 2.0]], [[2.5, 0.5]], (1, 2)),
+                                ([[1.5], [2.0]], [2.5], (2, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"1-D, got shape {shape}")):
+            phase_diagram(phi_a, phi_b)
 
 
 N_K_ENTRIES = {

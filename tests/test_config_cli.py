@@ -442,6 +442,25 @@ class TestCli:
         assert f"a state of {slots} slots does not fit in memory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_walk_too_long_to_allocate_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the state fits, but evolve's spans of 20001 records do not
+        empty = np.empty
+
+        def failing_empty(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e5:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        out = tmp_path / "w.csv"
+        config = write_config(tmp_path, FIG5_CONFIG)
+        assert main(["walk", "--config", str(config), "--out", str(out),
+                     "--steps", "20000"]) == 2
+        slots = build_lattice(LatticeSpec.uniform(FIG5_CONFIG["half_length"], 0.0, 0.0)).dim
+        assert (f"a walk of 20000 records on {slots} slots does not fit in memory"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_rejected_parameter_is_config_error(self, tmp_path, capsys):
         assert main(["bands", "--phi-a", "0", "--phi-b", "1", "--nk", "4",
                      "--out", str(tmp_path / "b.csv")]) == 2
@@ -481,6 +500,26 @@ class TestCli:
         half = cli.walk_mod.auto_half_length(10**9)
         slots = build_lattice(LatticeSpec.uniform(half, 0.0, 0.0)).dim
         assert (f"a state of {slots} slots does not fit in memory (half_length {half})"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_repro_fig5_walk_too_long_to_allocate_is_config_error_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # 50000 steps size both chains at half_length 25002: the 16 MB state
+        # fits, and the first walk's ~10 GB of spans is refused
+        empty = np.empty
+
+        def failing_empty(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e8:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        out = tmp_path / "out"
+        assert main(["repro", "fig5", "--out", str(out), "--steps", "50000"]) == 2
+        half = cli.walk_mod.auto_half_length(50000)
+        slots = build_lattice(LatticeSpec.uniform(half, 0.0, 0.0)).dim
+        assert (f"a walk of 50000 records on {slots} slots does not fit in memory"
                 in capsys.readouterr().err)
         assert not out.exists()
 
